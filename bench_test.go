@@ -317,15 +317,15 @@ func BenchmarkRunTLBOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayTLBOnly is the replay path over a pre-captured
-// stream — what every policy after the first pays in a sweep.
-func BenchmarkReplayTLBOnly(b *testing.B) {
+// BenchmarkReplaySolo is the replay path over a pre-captured stream,
+// one policy per ReplayMulti call — what every policy after the first
+// pays in a sweep.
+func BenchmarkReplaySolo(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer stream.Close()
 	for _, name := range streamBenchPolicies {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -333,7 +333,7 @@ func BenchmarkReplayTLBOnly(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sim.ReplayTLBOnly(stream, p, cfg); err != nil {
+				if _, err := sim.ReplayMulti(stream, []tlb.Policy{p}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,18 +341,16 @@ func BenchmarkReplayTLBOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayMulti compares the fused single-pass kernel against
-// the same policies replayed independently over one captured stream.
-// "independent" is N full decode-view passes (one per policy);
-// "fused" is one pass driving all N TLBs per event. The ratio is the
-// per-workload replay speedup a multi-policy sweep sees.
+// BenchmarkReplayMulti compares one ReplayMulti call over all N
+// policies against N single-policy calls over the same stream. Both
+// share the stream's memoized views after the first iteration, so the
+// ratio is the fan-out's scheduling gain.
 func BenchmarkReplayMulti(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer stream.Close()
 	build := func() []tlb.Policy {
 		pols := make([]tlb.Policy, len(streamBenchPolicies))
 		for i, name := range streamBenchPolicies {
@@ -367,7 +365,7 @@ func BenchmarkReplayMulti(b *testing.B) {
 	b.Run("independent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range build() {
-				if _, err := sim.ReplayTLBOnly(stream, p, cfg); err != nil {
+				if _, err := sim.ReplayMulti(stream, []tlb.Policy{p}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -395,56 +393,24 @@ func BenchmarkStreamCapture(b *testing.B) {
 		records = float64(s.Records())
 		events = float64(s.Events())
 		bytes = float64(s.MemBytes())
-		s.Close()
 	}
 	b.ReportMetric(records*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
 	b.ReportMetric(bytes/events, "bytes/event")
 }
 
-// BenchmarkStreamDecode measures the decode side alone: one pass over
-// the captured event sequence, no TLB behind it, through both the
-// record-at-a-time and the block decoder replay actually uses.
+// BenchmarkStreamDecode measures the decode side alone: one block
+// decoder pass over the captured event sequence — the pass every view
+// builder makes — with no TLB behind it.
 func BenchmarkStreamDecode(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	s, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
-	b.Run("event", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := s.Decode()
-			var ev l2stream.Event
-			n := 0
-			for d.Next(&ev) {
-				n++
-			}
-			if err := d.Err(); err != nil {
-				b.Fatal(err)
-			}
-			if uint64(n) != s.Events() {
-				b.Fatalf("decoded %d events, captured %d", n, s.Events())
-			}
-		}
-		b.ReportMetric(float64(s.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
 	b.Run("block", func(b *testing.B) {
-		var evs [256]l2stream.Event
 		for i := 0; i < b.N; i++ {
-			d := s.Decode()
-			n := 0
-			for {
-				k := d.NextBlock(evs[:])
-				if k == 0 {
-					break
-				}
-				n += k
-			}
-			if err := d.Err(); err != nil {
+			if err := s.EachBlock(func([]l2stream.Event) {}); err != nil {
 				b.Fatal(err)
-			}
-			if uint64(n) != s.Events() {
-				b.Fatalf("decoded %d events, captured %d", n, s.Events())
 			}
 		}
 		b.ReportMetric(float64(s.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
@@ -512,7 +478,7 @@ func BenchmarkSweepPersistent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm with the full policy set so the derived sidecars (replay
+	// Warm with the full policy set so the derived views (replay
 	// views, signature sequences) are on disk too: a second
 	// `chirpexp -capturedir` run loads them instead of rebuilding.
 	if _, err := sim.RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
@@ -545,7 +511,7 @@ func BenchmarkSweepPersistent(b *testing.B) {
 // BenchmarkSweepWorkers measures multi-worker sweep scaling over the
 // capture+replay path: the full Figure 7 policy set across a suite
 // prefix, at increasing engine worker counts. Workers share each
-// workload's captured stream (single-flight capture, memoized decode
+// workload's captured stream (single-flight capture, memoized derived
 // views), so scaling is limited only by the policy simulations
 // themselves.
 func BenchmarkSweepWorkers(b *testing.B) {

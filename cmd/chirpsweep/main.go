@@ -40,9 +40,9 @@ func run() int {
 	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
 	instr := flag.Uint64("instr", 1_000_000, "instructions per trace")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB, shared across every sweep point (0 = 256 MiB default, negative = disable capture/replay)")
+	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB, shared across every sweep point (0 = 96 MiB default, negative = disable capture/replay)")
 	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived sidecars) are evicted to stay under it (0 = unbounded)")
+	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived views) are evicted to stay under it (0 = unbounded)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file; a killed sweep resumes where it stopped")
 	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
 	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")
@@ -138,7 +138,7 @@ func run() int {
 			}
 			streams.SetStoreMaxBytes(*capturedirMax)
 		} else {
-			streams = l2stream.NewCache(*l2cache<<20, "")
+			streams = l2stream.NewCache(*l2cache << 20)
 		}
 		defer streams.Close()
 		opts.StreamCache = streams

@@ -17,8 +17,8 @@
 //     map-iteration-order-dependent output.
 //   - ctx-first: exported work-launching functions in internal/sim and
 //     internal/engine take a context.Context first.
-//   - no-deprecated: the pre-engine suite entry points may not gain new
-//     callers (this rule replaced the CI grep gate).
+//   - no-deprecated: banned functions (workloads.NewGenerator outside
+//     the workloads packages) may not gain new callers.
 //
 // A second tier of rules runs a forward must/may dataflow analysis
 // over per-function control-flow graphs (cfg.go, dataflow.go):
@@ -27,7 +27,7 @@
 //     on all paths (or via defer), and no lock is held across a
 //     channel operation, select, or sync.WaitGroup.Wait.
 //   - pair-lifetime: values acquired through a //chirp:acquires
-//     function (pooled TLB arrays, spill refcounts) must reach a
+//     function (pooled TLB arrays) must reach a
 //     matching //chirp:releases call on every path, unless they
 //     escape the function.
 //   - atomic-mix: a struct field accessed through sync/atomic anywhere

@@ -1,19 +1,11 @@
 // Package app exercises the no-deprecated rule from the caller's side:
-// a direct call, a function-value reference the old grep gate could not
-// see, and an allowed legacy call.
+// a direct call and a function-value reference the old grep gate could
+// not see.
 package app
 
 import (
-	sim "github.com/chirplab/chirp/internal/analysis/testdata/src/deprecated/internal/sim"
 	workloads "github.com/chirplab/chirp/internal/analysis/testdata/src/deprecated/internal/workloads"
 )
-
-// Sweep calls the banned entry points.
-func Sweep() int {
-	total := sim.RunSuiteTLBOnly(2) // want "RunSuiteTLBOnly is deprecated; use RunSuiteTLBOnlyCtx"
-	f := sim.RunSuiteTiming         // want "RunSuiteTiming is deprecated; use RunSuiteTimingCtx"
-	return total + f()
-}
 
 // Generate constructs a generator directly, outside the workloads
 // packages' allow scope.
@@ -21,8 +13,7 @@ func Generate() *workloads.Generator {
 	return workloads.NewGenerator() // want "NewGenerator is deprecated"
 }
 
-// Pinned documents why one legacy call remains.
-func Pinned() int {
-	//chirp:allow no-deprecated fixture: golden-output comparison against the legacy runner
-	return sim.RunSuiteTiming()
+// Constructor hands out the banned constructor as a value.
+func Constructor() func() *workloads.Generator {
+	return workloads.NewGenerator // want "NewGenerator is deprecated"
 }

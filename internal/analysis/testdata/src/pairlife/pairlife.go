@@ -30,7 +30,7 @@ func release(r *res) {}
 //chirp:releases widget
 func (r *res) Close() {}
 
-// retain returns a release closure, RetainSpill-style.
+// retain returns a path plus a release closure.
 //
 //chirp:acquires handle
 func retain() (string, func(), error) {

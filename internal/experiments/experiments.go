@@ -84,7 +84,7 @@ func (o Options) withCache() (Options, func()) {
 	if o.StreamCache != nil {
 		return o, func() {}
 	}
-	c := l2stream.NewCache(0, "")
+	c := l2stream.NewCache(0)
 	o.StreamCache = c
 	return o, func() { c.Close() }
 }

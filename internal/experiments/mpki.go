@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/engine"
+	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
@@ -380,9 +382,20 @@ func OptBound(o Options) (*OptResult, error) {
 		jobs = append(jobs, engine.Job[float64]{
 			Key: engine.Key{Scope: "opt", Workload: w.Name, Policy: "opt"},
 			Run: func(context.Context) (float64, error) {
+				fresh := func() trace.Source { return trace.NewLimit(w.Source(), o.Instructions) }
 				stream, err := sim.StreamFor(o.StreamCache, w.Name, w.SpecHash, cfg, func() (trace.Source, error) {
-					return trace.NewLimit(w.Source(), o.Instructions), nil
+					return fresh(), nil
 				})
+				if errors.Is(err, l2stream.ErrOverBudget) {
+					// Too big to hold: collect the oracle's input and
+					// run it directly instead.
+					vpns, err := sim.CollectL2Stream(fresh(), cfg)
+					if err != nil {
+						return 0, err
+					}
+					r, err := sim.RunTLBOnly(fresh(), newOPT(vpns), cfg)
+					return r.MPKI, err
+				}
 				if err != nil {
 					return 0, err
 				}
@@ -390,11 +403,11 @@ func OptBound(o Options) (*OptResult, error) {
 				if err != nil {
 					return 0, err
 				}
-				r, err := sim.ReplayTLBOnly(stream, newOPT(vpns), cfg)
+				rs, err := sim.ReplayMulti(stream, []tlb.Policy{newOPT(vpns)}, cfg)
 				if err != nil {
 					return 0, err
 				}
-				return r.MPKI, nil
+				return rs[0].MPKI, nil
 			},
 		})
 	}

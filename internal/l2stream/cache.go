@@ -1,7 +1,7 @@
 package l2stream
 
 import (
-	"os"
+	"errors"
 	"sync"
 	"time"
 
@@ -34,8 +34,6 @@ var (
 		"Captures persisted to the capture directory.")
 	obsCacheDiskErrors = obs.Default.Counter("chirp_l2stream_cache_disk_errors_total",
 		"Failed persistent-store reads or writes (the run continues on the in-memory tier).")
-	obsCacheSpills = obs.Default.Counter("chirp_l2stream_cache_spills_total",
-		"Captures that overflowed the byte budget and spilled to disk.")
 	obsCacheEvictions = obs.Default.Counter("chirp_l2stream_cache_evictions_total",
 		"In-memory streams evicted to hold the byte budget.")
 	obsCaptureSeconds = obs.Default.Histogram("chirp_l2stream_capture_seconds",
@@ -45,23 +43,26 @@ var (
 	obsCacheStreams = obs.Default.Gauge("chirp_l2stream_cache_streams",
 		"Captured streams currently resident in stream caches.")
 	obsDerivedBuilds = obs.Default.Counter("chirp_l2stream_derived_builds_total",
-		"Derived views computed from stream events (sidecar absent or not persisted).")
+		"Derived views computed from stream events (.l2d file absent or not persisted).")
 	obsDerivedDiskHits = obs.Default.Counter("chirp_l2stream_derived_disk_hits_total",
-		"Derived views loaded from persisted sidecars instead of being recomputed.")
+		"Derived views loaded from persisted .l2d files instead of being recomputed.")
 	obsDerivedDiskWrites = obs.Default.Counter("chirp_l2stream_derived_disk_writes_total",
-		"Derived-view sidecars persisted to the capture directory.")
+		"Derived views persisted to the capture directory as .l2d files.")
 	obsDerivedCorrupt = obs.Default.Counter("chirp_l2stream_derived_corrupt_total",
-		"Derived-view sidecars rejected as corrupt, truncated, or stale (the view is recomputed).")
+		"Derived-view files rejected as corrupt, truncated, or stale (the view is recomputed).")
 	obsStoreEvictions = obs.Default.Counter("chirp_l2stream_store_evictions_total",
-		"Capture groups (stream plus sidecars) evicted from persistent capture directories by the size-budget GC.")
+		"Capture groups (stream plus derived views) evicted from persistent capture directories by the size-budget GC.")
 	obsStoreBytes = obs.Default.Gauge("chirp_l2stream_store_bytes",
 		"Bytes currently held in persistent capture directories, as of the last GC scan.")
 )
 
 // DefaultBudget is the cache's default in-memory byte budget: large
-// enough to hold hundreds of suite-sized streams, small next to the
-// working memory an 870-workload sweep already uses.
-const DefaultBudget int64 = 256 << 20
+// enough to hold hundreds of suite-sized streams with their derived
+// views (≈0.3 MiB each at 1 M instructions), small next to the working
+// memory an 870-workload sweep already uses. It also bounds a single
+// capture (CaptureOptions.MaxBytes): at ≈4.8 B/event that is ≈20 M
+// events, near 0.9 G instructions of a suite workload.
+const DefaultBudget int64 = 96 << 20
 
 // Key identifies a cached stream: the workload name plus the
 // policy-invariant capture configuration. Comparable, so it indexes
@@ -88,25 +89,21 @@ type Key struct {
 // content-addressed on-disk tier (see store): captures are persisted
 // under their key fingerprint, and later caches — including ones in
 // other processes, on other days — load those files instead of
-// re-capturing. The spill fallback feeds the same tier: a spilled
-// capture's record file is adopted into the store rather than
-// deleted at Close.
+// re-capturing.
 //
-// Spilled streams cost the cache (almost) nothing in memory and are
-// never evicted; their files are deleted by Close — deferred past any
-// replay still holding the file (Stream.RetainSpill), and skipped
-// entirely for store-owned files. Evicting an in-memory stream only
-// drops the cache's reference — replays already holding the stream
-// keep working, and the bytes are reclaimed when they finish.
+// A capture that passes the byte budget on its own fails with
+// ErrOverBudget; the cache keeps that verdict for the key, so every
+// later caller gets the same error at once and runs the direct driver
+// instead of re-capturing. Evicting a stream only drops the cache's
+// reference — replays already holding the stream keep working, and
+// the bytes are reclaimed when they finish.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
-	dir     string
 	store   *store
 	used    int64
 	tick    uint64
 	entries map[Key]*cacheEntry
-	spills  []*Stream
 }
 
 // cacheEntry is one single-flight slot. The owning goroutine (the one
@@ -114,7 +111,9 @@ type Cache struct {
 // closes done; everyone else blocks on done. A failed capture deletes
 // the entry from the map before closing done, so woken waiters—and
 // any caller that read the entry just before the failure—re-check the
-// map and retry instead of inheriting the memoized error forever.
+// map and retry instead of inheriting the memoized error forever. The
+// one exception is ErrOverBudget: that verdict stays in the map, since
+// recapturing the same key would fail the same way.
 type cacheEntry struct {
 	done    chan struct{} // closed once stream/err below are final
 	stream  *Stream
@@ -126,27 +125,25 @@ type cacheEntry struct {
 
 // NewCache returns a cache with the given in-memory byte budget
 // (<= 0 means DefaultBudget). Captures that would exceed the whole
-// budget on their own spill to files in dir ("" = the OS temp dir).
-func NewCache(budget int64, dir string) *Cache {
+// budget on their own fail with ErrOverBudget.
+func NewCache(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{budget: budget, dir: dir, entries: map[Key]*cacheEntry{}}
+	return &Cache{budget: budget, entries: map[Key]*cacheEntry{}}
 }
 
 // NewPersistent returns a cache backed by a persistent capture
 // directory: every capture is also written there (content-addressed
 // by key fingerprint + codec version, staged and atomically renamed),
 // and GetOrCapture consults the directory before capturing, so sweeps
-// across processes reuse captures instead of re-capturing. Spill
-// files are created inside the directory too, which keeps their
-// adoption into the store a same-filesystem rename.
+// across processes reuse captures instead of re-capturing.
 func NewPersistent(budget int64, captureDir string) (*Cache, error) {
 	st, err := newStore(captureDir)
 	if err != nil {
 		return nil, err
 	}
-	c := NewCache(budget, captureDir)
+	c := NewCache(budget)
 	c.store = st
 	return c, nil
 }
@@ -156,10 +153,11 @@ func (c *Cache) Budget() int64 { return c.budget }
 
 // GetOrCapture returns the cached stream for key, running capture
 // (once, even under concurrent callers) to produce it on first use.
-// The CaptureOptions passed to capture carry the cache's byte budget
-// and spill directory. A failed capture is not cached: every caller
-// that observed the failure — including ones that were already
-// blocked on it — retries through a fresh entry.
+// The CaptureOptions passed to capture carry the cache's byte budget.
+// A failed capture is not cached: every caller that observed the
+// failure — including ones that were already blocked on it — retries
+// through a fresh entry. ErrOverBudget is the exception: it is
+// returned to every caller for the key without another attempt.
 func (c *Cache) GetOrCapture(key Key, capture func(CaptureOptions) (*Stream, error)) (*Stream, error) {
 	for {
 		c.mu.Lock()
@@ -184,6 +182,9 @@ func (c *Cache) GetOrCapture(key Key, capture func(CaptureOptions) (*Stream, err
 			// it is a wait, not a hit.
 			obsCacheWaits.Inc()
 			<-e.done
+		}
+		if errors.Is(e.err, ErrOverBudget) {
+			return nil, e.err
 		}
 		if e.err != nil {
 			// The owner deleted the failed entry before closing done;
@@ -219,21 +220,19 @@ func (c *Cache) runCapture(key Key, e *cacheEntry, capture func(CaptureOptions) 
 
 	obsCacheMisses.Inc()
 	start := time.Now()
-	s, err := capture(CaptureOptions{MaxBytes: c.budget, SpillDir: c.dir})
+	s, err := capture(CaptureOptions{MaxBytes: c.budget})
 	obsCaptureSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.mu.Lock()
 		e.err = err
 		// Drop the failed entry so every later (and currently waiting)
-		// caller retries against a fresh one.
-		if c.entries[key] == e {
+		// caller retries against a fresh one — unless the capture was
+		// over budget, which a retry would only repeat.
+		if c.entries[key] == e && !errors.Is(err, ErrOverBudget) {
 			delete(c.entries, key)
 		}
 		c.mu.Unlock()
 		return nil, err
-	}
-	if s.Spilled() {
-		obsCacheSpills.Inc()
 	}
 	if c.store != nil {
 		if serr := c.store.save(key, s); serr != nil {
@@ -262,9 +261,6 @@ func (c *Cache) commit(key Key, e *cacheEntry, s *Stream) {
 	c.used += e.bytes
 	obsCacheBytes.Add(e.bytes)
 	obsCacheStreams.Inc()
-	if s.Spilled() {
-		c.spills = append(c.spills, s)
-	}
 	c.evictLocked(e)
 	c.tick++
 	e.lastUse = c.tick
@@ -292,8 +288,8 @@ func (c *Cache) growStream(key Key, s *Stream, delta int64) {
 
 // SetStoreMaxBytes bounds the persistent capture directory's total
 // size: after every store write, least-recently-used capture groups
-// (the .l2s stream plus its .chtr spill and .l2d derived sidecars) are
-// evicted oldest-mtime-first until the directory fits. Zero or
+// (the .l2s stream plus its .l2d derived views) are evicted
+// oldest-mtime-first until the directory fits. Zero or
 // negative means unbounded. No-op on caches without a persistent tier.
 func (c *Cache) SetStoreMaxBytes(maxBytes int64) {
 	if c.store != nil {
@@ -329,7 +325,7 @@ func (c *Cache) evictLocked(keep *cacheEntry) {
 }
 
 // Len returns the number of resident streams (including in-flight
-// captures). For tests and telemetry.
+// captures and over-budget verdicts). For tests and telemetry.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -343,15 +339,12 @@ func (c *Cache) Used() int64 {
 	return c.used
 }
 
-// Close drops every entry and deletes the cache's spill files —
-// except files the persistent store owns, which later processes will
-// reuse, and except files a replay still holds retained, which delete
-// when the replay releases them. It is not safe to race Close with
+// Close drops every entry and releases the cache's accounting. Streams
+// already handed out stay valid. It is not safe to race Close with
 // GetOrCapture.
 func (c *Cache) Close() error {
 	c.mu.Lock()
-	spills := c.spills
-	c.spills = nil
+	defer c.mu.Unlock()
 	resident := int64(0)
 	for _, e := range c.entries {
 		if e.ready {
@@ -362,13 +355,5 @@ func (c *Cache) Close() error {
 	obsCacheStreams.Add(-resident)
 	c.entries = map[Key]*cacheEntry{}
 	c.used = 0
-	c.mu.Unlock()
-
-	var first error
-	for _, s := range spills {
-		if err := s.Close(); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }

@@ -1,6 +1,7 @@
 package l2stream
 
 import (
+	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func waitForCounter(t *testing.T, value func() uint64, base uint64) {
 func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 	recs := testRecords(500)
 	cfg := testConfig(800)
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	key := Key{Workload: "w", Config: cfg}
 
@@ -101,7 +102,7 @@ func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 func TestCacheWaitAccounting(t *testing.T) {
 	recs := testRecords(500)
 	cfg := testConfig(800)
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	key := Key{Workload: "w", Config: cfg}
 
@@ -150,89 +151,52 @@ func TestCacheWaitAccounting(t *testing.T) {
 	}
 }
 
-// TestRetainSpillDefersDeletion: Close while a replay holds the spill
-// file retained must leave the file on disk until the reference drops —
-// the "in-flight replays keep working" contract for spilled streams.
-func TestRetainSpillDefersDeletion(t *testing.T) {
+// TestCacheRemembersOverBudget: an over-budget capture fails with
+// ErrOverBudget, the verdict stays with the key, and every later call
+// gets it back without another capture attempt — and, on a persistent
+// cache, without writing anything to the store.
+func TestCacheRemembersOverBudget(t *testing.T) {
 	recs := testRecords(4000)
 	cfg := testConfig(6000)
-	sp, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: 64, SpillDir: t.TempDir()})
+	dir := t.TempDir()
+	c, err := NewPersistent(64, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sp.Spilled() {
-		t.Fatal("64-byte budget must force a spill")
+	defer c.Close()
+	key := Key{Workload: "w", Config: cfg}
+	misses0, writes0 := obsCacheMisses.Value(), obsCacheDiskWrites.Value()
+	captures := 0
+	for i := 0; i < 3; i++ {
+		_, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
+			captures++
+			return Capture(trace.NewSliceSource(recs), cfg, opts)
+		})
+		if !errors.Is(err, ErrOverBudget) {
+			t.Fatalf("call %d: err = %v, want ErrOverBudget", i, err)
+		}
 	}
-	path, releaseA, err := sp.RetainSpill()
-	if err != nil {
-		t.Fatal(err)
+	if captures != 1 {
+		t.Errorf("capture ran %d times, want 1", captures)
 	}
-	_, releaseB, err := sp.RetainSpill()
-	if err != nil {
-		t.Fatal(err)
+	if d := obsCacheMisses.Value() - misses0; d != 1 {
+		t.Errorf("misses delta = %d, want 1", d)
 	}
-	if err := sp.Close(); err != nil {
-		t.Fatalf("Close with readers: %v", err)
+	if d := obsCacheDiskWrites.Value() - writes0; d != 0 {
+		t.Errorf("disk writes delta = %d, want 0", d)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Close deleted the spill file under %d readers: %v", 2, err)
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("over-budget capture left %d files in the store", len(files))
 	}
-	releaseA()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("first release deleted the file while a reader remains")
-	}
-	releaseB()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("last release must delete the closed spill file")
-	}
-	if _, _, err := sp.RetainSpill(); err == nil {
-		t.Error("RetainSpill after Close must fail")
-	}
-}
-
-// TestCacheCloseRacesSpilledReplay drives the cache-level version of
-// the same contract: GetOrCapture hands out a spilled stream, a
-// "replay" retains it, Cache.Close runs, and the file must survive
-// until release.
-func TestCacheCloseRacesSpilledReplay(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	c := NewCache(64, t.TempDir())
-	s, err := c.GetOrCapture(Key{Workload: "w", Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Spilled() {
-		t.Fatal("64-byte cache budget must force a spill")
-	}
-	path, release, err := s.RetainSpill()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("Cache.Close: %v", err)
-	}
-	fs, err := trace.OpenFile(path)
-	if err != nil {
-		t.Fatalf("spill file unreadable after Cache.Close: %v", err)
-	}
-	n := len(trace.Collect(fs))
-	fs.Close()
-	if uint64(n) != s.Records() {
-		t.Errorf("read %d records mid-Close, want %d", n, s.Records())
-	}
-	release()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("release after Cache.Close must delete the spill file")
+	if c.Used() != 0 {
+		t.Errorf("over-budget verdict accounts %d bytes", c.Used())
 	}
 }
 
 // TestEvictOversizedStreamStays: a single stream whose footprint
 // exceeds the whole budget must stay resident (there is nothing useful
-// to evict it for), not thrash in and out. Capture itself spills
-// rather than over-committing, so the oversized-resident case arises
+// to evict it for), not thrash in and out. Capture itself refuses to
+// over-commit (ErrOverBudget), so the oversized-resident case arises
 // through the persistent tier: a small-budget cache loading a capture
 // a bigger-budget process persisted.
 func TestEvictOversizedStreamStays(t *testing.T) {
@@ -249,9 +213,6 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seed.Spilled() {
-		t.Fatal("default-budget capture must stay in memory")
-	}
 	if err := big.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,15 +222,11 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	s, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(CaptureOptions) (*Stream, error) {
+	if _, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(CaptureOptions) (*Stream, error) {
 		t.Error("persisted capture was re-captured")
 		return nil, os.ErrInvalid
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if s.Spilled() {
-		t.Fatal("persisted in-memory stream loaded as spilled")
 	}
 	if c.Used() <= c.Budget() {
 		t.Fatalf("test premise broken: resident %d fits budget %d", c.Used(), c.Budget())
@@ -297,7 +254,7 @@ func TestEvictSparesKeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := probe.FootprintBytes()
-	c := NewCache(one+one/2, t.TempDir())
+	c := NewCache(one + one/2)
 	defer c.Close()
 	capture := func(opts CaptureOptions) (*Stream, error) {
 		return Capture(trace.NewSliceSource(recs), cfg, opts)
@@ -335,7 +292,7 @@ func TestCacheGaugeConsistency(t *testing.T) {
 	bytes0, streams0 := obsCacheBytes.Value(), obsCacheStreams.Value()
 	evict0 := obsCacheEvictions.Value()
 
-	c := NewCache(2*one+one/2, t.TempDir())
+	c := NewCache(2*one + one/2)
 	capture := func(opts CaptureOptions) (*Stream, error) {
 		return Capture(trace.NewSliceSource(recs), cfg, opts)
 	}

@@ -1,22 +1,24 @@
 package l2stream
 
 import (
-	"fmt"
-	"os"
+	"errors"
+	"math"
 
 	"github.com/chirplab/chirp/internal/trace"
 )
 
 // CaptureOptions bounds a capture.
 type CaptureOptions struct {
-	// MaxBytes caps the in-memory stream footprint — the encoded buffer
-	// plus the decoded views capture materializes (Stream.FootprintBytes);
-	// a capture that would exceed it restarts and spills the raw record
-	// prefix to a CHTR file instead. <= 0 means unlimited (never spill).
+	// MaxBytes caps the encoded event buffer; a capture that would
+	// pass it stops with ErrOverBudget. <= 0 means unlimited.
 	MaxBytes int64
-	// SpillDir is where spill files are created ("" = the OS temp dir).
-	SpillDir string
 }
+
+// ErrOverBudget reports a capture whose encoded buffer passed
+// CaptureOptions.MaxBytes. The stream is not worth holding, so callers
+// run the direct driver (sim.RunTLBOnly) over a fresh source instead;
+// the cache remembers the verdict per key so it never retries.
+var ErrOverBudget = errors.New("l2stream: capture exceeds the byte budget")
 
 // Capture runs src once through the two LRU L1 TLB filters and records
 // the policy-invariant L2 event stream. The record loop mirrors
@@ -27,66 +29,21 @@ type CaptureOptions struct {
 //
 // src is consumed like RunTLBOnly consumes it: until cfg.Instructions
 // is reached, or exhaustion when cfg.Instructions is 0 (callers must
-// bound infinite sources with trace.Limit, as usual). On byte-budget
-// overflow src.Reset is called and the same record prefix is written
-// to a spill file instead.
+// bound infinite sources with trace.Limit, as usual). The budget is
+// checked once per record block, so an over-budget capture stops
+// within one block of passing it.
 func Capture(src trace.Source, cfg Config, opts CaptureOptions) (*Stream, error) {
-	s, overflow, err := capture(src, cfg, opts.MaxBytes, nil)
-	if err != nil {
-		return nil, err
-	}
-	if !overflow {
-		return s, nil
-	}
-
-	// Spill: re-run the capture pass from the top, writing the raw
-	// record prefix through the CHTR trace writer instead of encoding
-	// events. The file holds exactly the records RunTLBOnly would
-	// consume, so replaying it is a direct run by construction.
-	src.Reset()
-	f, err := os.CreateTemp(opts.SpillDir, "l2stream-*.chtr")
-	if err != nil {
-		return nil, fmt.Errorf("l2stream: creating spill file: %w", err)
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
-	}
-	s, _, err = capture(src, cfg, 0, w)
-	if err == nil {
-		err = w.Close()
-	}
-	if err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
-	}
-	s.spillPath = f.Name()
-	return s, nil
-}
-
-// capture is the single-pass worker behind Capture. With spill nil it
-// encodes events in memory, reporting overflow=true (and a nil stream)
-// as soon as the encoded size passes maxBytes; with spill non-nil it
-// writes each consumed record to the spill writer and keeps only the
-// run scalars.
-func capture(src trace.Source, cfg Config, maxBytes int64, spill *trace.Writer) (*Stream, bool, error) {
 	// The L1s are always LRU (that fixed choice is what makes the
 	// stream policy-invariant in the first place), so the capture path
 	// runs the specialized membership filter instead of two full
 	// tlb.TLB simulations; the hit/miss sequence is identical.
 	l1i, err := newL1Filter(cfg.L1I)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	l1d, err := newL1Filter(cfg.L1D)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	pageShift := cfg.PageShift
@@ -97,12 +54,13 @@ func capture(src trace.Source, cfg Config, maxBytes int64, spill *trace.Writer) 
 
 	s := &Stream{cfg: cfg, warmupAt: warmupAt, warmed: warmupAt == 0}
 	var (
-		enc          encoder
+		enc          = encoder{buf: make([]byte, 0, 64<<10)}
 		instructions uint64
 		warmI, warmD uint64 // L1 miss counts at the warmup boundary
 	)
-	if spill == nil {
-		enc.buf = make([]byte, 0, 64<<10)
+	maxBytes := opts.MaxBytes
+	if maxBytes <= 0 {
+		maxBytes = math.MaxInt64
 	}
 
 	bs := trace.Blocks(src)
@@ -115,54 +73,45 @@ loop:
 		}
 		for i := 0; i < n; i++ {
 			rec := &buf[i]
-			if spill != nil {
-				if err := spill.Write(rec); err != nil {
-					return nil, false, err
-				}
-			}
 			s.records++
 			instructions += rec.Instructions()
 			if !s.warmed && instructions >= warmupAt {
 				s.warmed = true
 				s.warmInstrAt = instructions
 				warmI, warmD = l1i.misses, l1d.misses
-				if spill == nil {
-					enc.warmup()
-					s.events++
-				}
+				enc.warmup()
+				s.events++
 			}
 
-			if !l1i.access(rec.PC>>pageShift) && spill == nil {
+			if !l1i.access(rec.PC >> pageShift) {
 				enc.access(rec.PC, rec.PC>>pageShift, true)
 				s.events++
 				s.accesses++
 			}
 			switch {
 			case rec.Class.IsMemory():
-				if !l1d.access(rec.EA>>pageShift) && spill == nil {
+				if !l1d.access(rec.EA >> pageShift) {
 					enc.access(rec.PC, rec.EA>>pageShift, false)
 					s.events++
 					s.accesses++
 				}
 			case rec.Class.IsBranch():
-				if spill == nil {
-					enc.branch(rec.PC,
-						rec.Class == trace.ClassCondBranch,
-						rec.Class == trace.ClassUncondIndirect,
-						rec.Taken, rec.Target)
-					s.events++
-				}
+				enc.branch(rec.PC,
+					rec.Class == trace.ClassCondBranch,
+					rec.Class == trace.ClassUncondIndirect,
+					rec.Taken, rec.Target)
+				s.events++
 			}
 			if cfg.Instructions > 0 && instructions >= cfg.Instructions {
 				break loop
 			}
 		}
-		if maxBytes > 0 && footprint(&enc, s) > maxBytes {
-			return nil, true, nil
+		if int64(len(enc.buf)) > maxBytes {
+			return nil, ErrOverBudget
 		}
 	}
-	if maxBytes > 0 && footprint(&enc, s) > maxBytes {
-		return nil, true, nil
+	if int64(len(enc.buf)) > maxBytes {
+		return nil, ErrOverBudget
 	}
 
 	s.instructions = instructions
@@ -171,15 +120,5 @@ loop:
 		s.l1dMisses = l1d.misses - warmD
 	}
 	s.buf = enc.buf
-	return s, false, nil
-}
-
-// footprint mirrors Stream.FootprintBytes for an in-flight capture:
-// the encoded bytes plus both decoded views replays will memoize, at
-// their accounted per-event size. Checking the full footprint (not
-// just the encoded buffer) against MaxBytes matches what the cache
-// later charges the stream against, so a capture that could never be
-// held within budget spills instead of thrashing the cache.
-func footprint(enc *encoder, s *Stream) int64 {
-	return int64(len(enc.buf)) + int64(s.events+s.accesses+1)*eventBytes
+	return s, nil
 }

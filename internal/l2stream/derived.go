@@ -1,23 +1,22 @@
 // Derived views: per-stream precomputed arrays that are pure functions
 // of the captured event stream plus a small configuration key — set
 // indices for a TLB geometry, folded predictor signature sequences,
-// prefetch fill schedules. They are memoized on the stream (single-
-// flight, like the decoded views), accounted against the owning
-// cache's byte budget, and — when the stream belongs to a persistent
-// capture store — persisted as content-addressed sidecar files so warm
-// sweeps across processes skip the computation entirely.
+// prefetch fill schedules. Builders stream the varint buffer through
+// Stream.EachBlock (one fixed block buffer, no decoded copy of the
+// stream), and the result is memoized on the stream (single-flight),
+// accounted against the owning cache's byte budget, and — when the
+// stream belongs to a persistent capture store — persisted as a
+// content-addressed .l2d file so warm sweeps across processes skip
+// the computation entirely.
 //
 // The l2stream package stays agnostic about what a derived view
 // contains: builders and codecs live with their consumers (internal/
 // sim), which hands them in as a DerivedSpec. This package owns the
 // cross-cutting mechanics only — memoization, concurrency, budget
-// accounting, and the sidecar load/store protocol.
+// accounting, and the .l2d load/store protocol.
 package l2stream
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // DerivedSpec describes one derived-view family to Stream.Derived: an
 // invalidation key, a builder, and an optional persistence codec.
@@ -30,20 +29,20 @@ import (
 type DerivedSpec struct {
 	// Key is the full invalidation key (family + version + config).
 	Key string
-	// Build computes the view from the stream's events. It runs at
-	// most once per (stream, key) and may use the stream's decoders
-	// freely; the stream is immutable underneath it.
+	// Build computes the view from the stream's events, usually via
+	// EachBlock. It runs at most once per (stream, key); the stream is
+	// immutable underneath it.
 	Build func(s *Stream) (view any, err error)
 	// Bytes reports the view's in-memory footprint for cache budget
 	// accounting.
 	Bytes func(view any) int64
-	// Encode serializes the view for the persistent sidecar tier; nil
+	// Encode serializes the view for the persistent .l2d tier; nil
 	// means the family is never persisted.
 	Encode func(view any) []byte
-	// Decode deserializes and validates a sidecar payload. ok=false
-	// means the payload is corrupt or stale, in which case the view is
-	// rebuilt (and the sidecar atomically replaced). nil means sidecar
-	// loads are skipped even if a file exists.
+	// Decode deserializes and validates a .l2d payload. ok=false means
+	// the payload is corrupt or stale, in which case the view is
+	// rebuilt (and the file atomically replaced). nil means .l2d loads
+	// are skipped even if a file exists.
 	Decode func(s *Stream, data []byte) (view any, ok bool)
 }
 
@@ -56,18 +55,13 @@ type derivedSlot struct {
 }
 
 // Derived returns the stream's memoized derived view for spec,
-// building it on first use: the persistent sidecar tier is consulted
+// building it on first use: the persistent .l2d tier is consulted
 // first (when the stream belongs to a capture store and the spec has a
 // codec), then Build runs and the result is persisted for the next
 // process. Concurrent calls for one key share a single build. The
 // returned view is shared between every caller and MUST be treated as
-// read-only. Spilled streams have no decodable event sequence, so
-// Derived fails on them; callers branch on Spilled first, as they do
-// for DecodeAll.
+// read-only.
 func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
-	if s.Spilled() {
-		return nil, fmt.Errorf("l2stream: derived view %q on a spilled stream", spec.Key)
-	}
 	s.derivedMu.Lock()
 	if s.derived == nil {
 		s.derived = make(map[string]*derivedSlot)
@@ -94,9 +88,9 @@ func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 					s.noteGrowth(spec.Bytes(v))
 					return
 				}
-				// A sidecar that parsed at the store layer but failed
-				// the spec's validation is corrupt: rebuild, and let
-				// the save below atomically replace it.
+				// A file that parsed at the store layer but failed the
+				// spec's validation is corrupt: rebuild, and let the
+				// save below atomically replace it.
 				obsDerivedCorrupt.Inc()
 			}
 		}
@@ -115,12 +109,17 @@ func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 	return slot.view, slot.err
 }
 
-// noteGrowth reports a late footprint increase (a derived or decoded
-// view materializing after commit) to the owning cache, which adds it
-// to the stream's accounted bytes and rebalances the budget. Streams
-// outside any cache ignore it.
+// noteGrowth adds a materialized view's bytes to the stream's
+// footprint and reports them to the owning cache, which adds them to
+// the stream's accounted bytes and rebalances the budget.
 func (s *Stream) noteGrowth(delta int64) {
-	if s.onGrow != nil && delta > 0 {
+	if delta <= 0 {
+		return
+	}
+	s.derivedMu.Lock()
+	s.derivedBytes += delta
+	s.derivedMu.Unlock()
+	if s.onGrow != nil {
 		s.onGrow(delta)
 	}
 }

@@ -23,11 +23,9 @@ func eventCountSpec(key string, builds *atomic.Int64) *DerivedSpec {
 			if builds != nil {
 				builds.Add(1)
 			}
-			evs, err := s.DecodeAll()
-			if err != nil {
-				return nil, err
-			}
-			return uint64(len(evs)), nil
+			var n uint64
+			err := s.EachBlock(func(evs []Event) { n += uint64(len(evs)) })
+			return n, err
 		},
 		Bytes:  func(any) int64 { return 8 },
 		Encode: func(v any) []byte { return binary.LittleEndian.AppendUint64(nil, v.(uint64)) },
@@ -243,28 +241,11 @@ func TestDerivedSidecarKeyed(t *testing.T) {
 	}
 }
 
-// TestDerivedSpilledStreamErrors: derived views need a decodable event
-// sequence, which spilled streams do not have.
-func TestDerivedSpilledStreamErrors(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(4000)), testConfig(6000),
-		CaptureOptions{MaxBytes: 1024, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if !s.Spilled() {
-		t.Fatal("1 KiB budget must force a spill")
-	}
-	if _, err := s.Derived(eventCountSpec("test:sp", nil)); err == nil {
-		t.Error("Derived succeeded on a spilled stream")
-	}
-}
-
 // TestDerivedGrowthAccounting: a derived view materializing on a
 // cached stream must grow the cache's accounted bytes by the view's
 // footprint and trigger the budget rebalance.
 func TestDerivedGrowthAccounting(t *testing.T) {
-	cache := NewCache(1<<20, t.TempDir())
+	cache := NewCache(1 << 20)
 	defer cache.Close()
 	cfg := testConfig(5000)
 	key := Key{Workload: "w", Config: cfg}
@@ -294,6 +275,9 @@ func TestDerivedGrowthAccounting(t *testing.T) {
 	}
 	if bytes1-bytes0 != viewBytes {
 		t.Errorf("entry bytes grew by %d, want %d", bytes1-bytes0, viewBytes)
+	}
+	if fp := s.FootprintBytes(); fp != int64(s.MemBytes())+viewBytes {
+		t.Errorf("FootprintBytes = %d, want buffer %d + view %d", fp, s.MemBytes(), viewBytes)
 	}
 
 	// Growth hooks on an evicted stream must not corrupt accounting:
@@ -350,8 +334,7 @@ func TestStoreGC(t *testing.T) {
 			t.Fatal(err)
 		}
 		streams = append(streams, s)
-		meta, _ := cache.store.paths(Key{Workload: w, Config: cfg})
-		metas = append(metas, meta)
+		metas = append(metas, cache.store.path(Key{Workload: w, Config: cfg}))
 	}
 	if got := len(derivedFiles(t, dir)); got != 3 {
 		t.Fatalf("expected 3 sidecars before GC, found %d", got)

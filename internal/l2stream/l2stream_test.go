@@ -1,6 +1,7 @@
 package l2stream
 
 import (
+	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -102,6 +103,30 @@ func referenceEvents(t *testing.T, recs []trace.Record, cfg Config) []Event {
 	return events
 }
 
+// decodeEvents decodes the whole stream into one freshly zeroed slice
+// in blocks of k events, so every field NextBlock leaves untouched for
+// an event's Kind stays zero — directly comparable to the reference.
+func decodeEvents(t testing.TB, s *Stream, k int) []Event {
+	t.Helper()
+	evs := make([]Event, s.Events())
+	d := s.Decode()
+	pos := 0
+	for pos < len(evs) {
+		n := d.NextBlock(evs[pos:min(pos+k, len(evs))])
+		if n == 0 {
+			break
+		}
+		pos += n
+	}
+	if d.Err() != nil {
+		t.Fatalf("decode error: %v", d.Err())
+	}
+	if pos != len(evs) || d.NextBlock(make([]Event, 1)) != 0 {
+		t.Fatalf("decoded %d events, stream reports %d (or trailing events)", pos, len(evs))
+	}
+	return evs
+}
+
 func TestCaptureMatchesReference(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
@@ -109,62 +134,21 @@ func TestCaptureMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
-	if s.Spilled() {
-		t.Fatal("unbudgeted capture must not spill")
-	}
 	want := referenceEvents(t, recs, cfg)
 	if s.Events() != uint64(len(want)) {
 		t.Fatalf("Events() = %d, want %d", s.Events(), len(want))
 	}
-	d := s.Decode()
-	var ev Event
-	for i := 0; i < len(want); i++ {
-		if !d.Next(&ev) {
-			t.Fatalf("stream ended at event %d of %d (err: %v)", i, len(want), d.Err())
+	got := decodeEvents(t, s, blockEvents)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
-		if ev != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, ev, want[i])
-		}
-	}
-	if d.Next(&ev) {
-		t.Fatal("decoder produced extra events")
-	}
-	if d.Err() != nil {
-		t.Fatalf("decode error: %v", d.Err())
 	}
 	if s.MemBytes() == 0 || float64(s.MemBytes())/float64(s.Events()) > 6 {
 		t.Errorf("encoding too fat: %d bytes for %d events", s.MemBytes(), s.Events())
 	}
-}
-
-// TestFixedDecoderMatchesDecode pins the persistent-store sidecar
-// decode (FixedDecoder, what fused replays of loaded streams walk) to
-// the varint round-trip, field for field. Any divergence here would
-// silently break fused/solo bit-identity across a store round-trip.
-func TestFixedDecoderMatchesDecode(t *testing.T) {
-	recs := testRecords(5000)
-	cfg := testConfig(8000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
-	if _, ok := s.DecodeFixed(); ok {
-		t.Fatal("fresh capture must not carry a sidecar")
-	}
-	want, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := FixedDecoder{data: encodeSidecar(want), pageShift: cfg.PageShift}
-	got := make([]Event, len(want)+1)
-	n := fd.NextBlock(got)
-	if n != len(want) {
-		t.Fatalf("FixedDecoder produced %d events, want %d", n, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sidecar event %d = %+v, decoded %+v", i, got[i], want[i])
-		}
+	if err := s.EachBlock(func([]Event) {}); err != nil {
+		t.Errorf("EachBlock over a fresh capture: %v", err)
 	}
 }
 
@@ -209,58 +193,35 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 }
 
-func TestCaptureSpills(t *testing.T) {
+// TestCaptureOverBudget: a capture whose encoded buffer passes
+// MaxBytes stops with ErrOverBudget; a budget the buffer fits exactly
+// captures the same stream as an unbounded run.
+func TestCaptureOverBudget(t *testing.T) {
 	recs := testRecords(4000)
 	cfg := testConfig(6000)
 	mem, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: 64, SpillDir: t.TempDir()})
+	if _, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: 64}); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("64-byte budget: err = %v, want ErrOverBudget", err)
+	}
+	if _, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: int64(mem.MemBytes()) - 1}); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("budget one byte short: err = %v, want ErrOverBudget", err)
+	}
+	fit, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: int64(mem.MemBytes())})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("exact budget: %v", err)
 	}
-	defer sp.Close()
-	if !sp.Spilled() {
-		t.Fatal("64-byte budget must force a spill")
-	}
-	if sp.MemBytes() != 0 {
-		t.Errorf("spilled stream holds %d in-memory bytes", sp.MemBytes())
-	}
-	// Scalars must match the in-memory capture exactly.
-	if sp.Records() != mem.Records() || sp.Instructions() != mem.Instructions() ||
-		sp.WarmupInstructions() != mem.WarmupInstructions() ||
-		sp.L1IMisses() != mem.L1IMisses() || sp.L1DMisses() != mem.L1DMisses() {
-		t.Errorf("spilled scalars diverge from in-memory capture")
-	}
-	// The spill file must hold exactly the consumed record prefix.
-	fs, err := trace.OpenFile(sp.SpillPath())
-	if err != nil {
-		t.Fatalf("opening spill file: %v", err)
-	}
-	got := trace.Collect(fs)
-	fs.Close()
-	if uint64(len(got)) != sp.Records() {
-		t.Fatalf("spill file holds %d records, capture consumed %d", len(got), sp.Records())
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("spilled record %d diverged", i)
-		}
-	}
-	path := sp.SpillPath()
-	if err := sp.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("Close must delete the spill file")
+	if fit.MemBytes() != mem.MemBytes() || fit.Events() != mem.Events() || fit.Records() != mem.Records() {
+		t.Errorf("exact-budget capture diverged from the unbounded one")
 	}
 }
 
 func TestCacheSingleFlight(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	var mu sync.Mutex
 	captures := 0
@@ -305,7 +266,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	}
 	one := probe.FootprintBytes()
 	// Budget for two streams; insert three distinct keys.
-	c := NewCache(2*one+one/2, t.TempDir())
+	c := NewCache(2*one + one/2)
 	defer c.Close()
 	for _, w := range []string{"a", "b", "c"} {
 		if _, err := c.GetOrCapture(Key{Workload: w, Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
@@ -323,7 +284,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 }
 
 func TestCacheRetriesFailedCapture(t *testing.T) {
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	key := Key{Workload: "w", Config: testConfig(100)}
 	calls := 0
@@ -347,167 +308,30 @@ func TestCacheRetriesFailedCapture(t *testing.T) {
 	}
 }
 
-func TestDecodeAllMatchesNext(t *testing.T) {
+// TestNextBlockSizesAgree: the block decoder carries its delta state
+// across block boundaries, so any block size decodes the same events.
+func TestNextBlockSizesAgree(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
 	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: the event-at-a-time decoder, which fully populates
-	// every Event (unused fields zero).
-	var want []Event
-	d := s.Decode()
-	var ev Event
-	for d.Next(&ev) {
-		want = append(want, ev)
-	}
-	if d.Err() != nil {
-		t.Fatal(d.Err())
-	}
-	evs, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != len(want) {
-		t.Fatalf("DecodeAll returned %d events, Next produced %d", len(evs), len(want))
-	}
-	// DecodeAll decodes into a fresh zeroed slice, so fields NextBlock
-	// leaves untouched are zero — directly comparable to Next's output.
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Fatalf("event %d: DecodeAll %+v, Next %+v", i, evs[i], want[i])
-		}
-	}
-	// The decode is memoized: a second call returns the same slice.
-	again, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again[0] != &evs[0] {
-		t.Error("DecodeAll re-decoded instead of returning the memoized slice")
-	}
-}
-
-// TestDecodeAccessesMatchesFilteredDecodeAll: the branch-free view
-// must be exactly the full view with branch events removed — same
-// order, same PCs, same VPNs, same warmup position.
-func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
-	recs := testRecords(5000)
-	cfg := testConfig(8000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Event
-	for _, ev := range full {
-		if ev.Kind != EventBranch {
-			want = append(want, ev)
-		}
-	}
-	got, err := s.DecodeAccesses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("DecodeAccesses returned %d events, filtered DecodeAll %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: DecodeAccesses %+v, filtered %+v", i, got[i], want[i])
-		}
-	}
-	// The view is memoized: a second call returns the same slice.
-	again, err := s.DecodeAccesses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again[0] != &got[0] {
-		t.Error("DecodeAccesses re-decoded instead of returning the memoized slice")
-	}
-	// Both memoized views fit the accounted footprint.
-	if fp := s.FootprintBytes(); fp < int64(len(s.buf))+int64(len(full)+len(got))*eventBytes {
-		t.Errorf("FootprintBytes %d undercounts buf+both views", fp)
-	}
-	// A stream reconstructed without the capture-built views (the shape
-	// a spill reload produces) must varint-decode both views to slices
-	// identical to the eager ones.
-	cold := freshView(s)
-	coldFull, err := cold.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coldFull) != len(full) {
-		t.Fatalf("cold DecodeAll returned %d events, eager %d", len(coldFull), len(full))
-	}
-	for i := range full {
-		if coldFull[i] != full[i] {
-			t.Fatalf("event %d: cold DecodeAll %+v, eager %+v", i, coldFull[i], full[i])
-		}
-	}
-	coldAcc, err := cold.DecodeAccesses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coldAcc) != len(got) {
-		t.Fatalf("cold DecodeAccesses returned %d events, eager %d", len(coldAcc), len(got))
-	}
-	for i := range got {
-		if coldAcc[i] != got[i] {
-			t.Fatalf("event %d: cold DecodeAccesses %+v, eager %+v", i, coldAcc[i], got[i])
-		}
-	}
-}
-
-// TestDecodeViewsSingleFlight hammers both memoizations from many
-// goroutines; under -race this is the regression test for sharing one
-// stream across engine workers, and each view must come back as the
-// same materialized slice for every caller.
-func TestDecodeViewsSingleFlight(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 16
-	fulls := make([][]Event, workers)
-	accs := make([][]Event, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Alternate which view each goroutine touches first.
-			if i%2 == 0 {
-				fulls[i], _ = s.DecodeAll()
-				accs[i], _ = s.DecodeAccesses()
-			} else {
-				accs[i], _ = s.DecodeAccesses()
-				fulls[i], _ = s.DecodeAll()
+	want := decodeEvents(t, s, len(recs)*3)
+	for _, k := range []int{1, 2, 7, blockEvents} {
+		got := decodeEvents(t, s, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("block size %d, event %d: %+v, want %+v", k, i, got[i], want[i])
 			}
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if len(fulls[i]) == 0 || &fulls[i][0] != &fulls[0][0] {
-			t.Fatalf("goroutine %d got a different DecodeAll slice", i)
-		}
-		if len(accs[i]) == 0 || &accs[i][0] != &accs[0][0] {
-			t.Fatalf("goroutine %d got a different DecodeAccesses slice", i)
 		}
 	}
 }
 
 func TestDecoderRejectsGarbage(t *testing.T) {
+	evs := make([]Event, 4)
 	d := &Decoder{buf: []byte{0x07, 0xff}, pageShift: 12} // kind 7 unused
-	var ev Event
-	if d.Next(&ev) {
+	if d.NextBlock(evs) != 0 {
 		t.Fatal("decoder accepted an unknown event kind")
 	}
 	if d.Err() == nil {
@@ -515,49 +339,12 @@ func TestDecoderRejectsGarbage(t *testing.T) {
 	}
 	// Truncated varint payload.
 	d = &Decoder{buf: []byte{wireDataAccess, 0x80}, pageShift: 12}
-	if d.Next(&ev) || d.Err() == nil {
+	if d.NextBlock(evs) != 0 || d.Err() == nil {
 		t.Fatal("decoder must reject a truncated varint")
 	}
-}
-
-// freshView returns a Stream sharing s's encoded buffer but with its
-// own decode memos, so benchmarks can measure a cold decode per
-// iteration without re-capturing.
-func freshView(s *Stream) *Stream {
-	return &Stream{
-		cfg: s.cfg, buf: s.buf,
-		records: s.records, instructions: s.instructions,
-		events: s.events, accesses: s.accesses,
-		warmed: s.warmed, warmupAt: s.warmupAt, warmInstrAt: s.warmInstrAt,
-		l1iMisses: s.l1iMisses, l1dMisses: s.l1dMisses,
+	// A buffer holding fewer events than the stream claims.
+	s := &Stream{buf: []byte{wireWarmup}, events: 2}
+	if err := s.EachBlock(func([]Event) {}); err == nil {
+		t.Fatal("EachBlock must reject an event-count mismatch")
 	}
-}
-
-// BenchmarkDecodeViews compares a cold decode of the full event view
-// against the branch-free access view non-observer policies replay.
-func BenchmarkDecodeViews(b *testing.B) {
-	recs := testRecords(200000)
-	cfg := testConfig(0)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			evs, err := freshView(s).DecodeAll()
-			if err != nil || uint64(len(evs)) != s.Events() {
-				b.Fatalf("decoded %d events (%v)", len(evs), err)
-			}
-		}
-		b.ReportMetric(float64(s.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
-	b.Run("accesses", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			evs, err := freshView(s).DecodeAccesses()
-			if err != nil || uint64(len(evs)) < s.Accesses() {
-				b.Fatalf("decoded %d events (%v)", len(evs), err)
-			}
-		}
-		b.ReportMetric(float64(s.Accesses())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Maccesses/s")
-	})
 }

@@ -18,30 +18,25 @@ import (
 // CodecVersion identifies the on-disk and in-memory event encoding.
 // It is folded into every persistent-store key, so bumping it after
 // an encoding change invalidates all previously persisted captures at
-// once — stale files are simply never addressed again.
-const CodecVersion = 2
+// once — stale files are simply never addressed again. Version 3
+// dropped the fixed-width sidecar and the spill form: a .l2s file is
+// the header plus the varint buffer, checksummed.
+const CodecVersion = 3
 
-// Store file format (".l2s"): a fixed 128-byte header, the stream's
-// delta/varint event buffer verbatim, then a fixed-width pre-decoded
-// event sidecar (storeEventSize bytes per event). Loading is one
-// os.ReadFile: the middle of that allocation IS the stream's encoded
-// buffer (zero-copy), and the sidecar decodes with a fixed-stride
-// loop — several times cheaper than the varint pass — into the
-// stream's memoized full event view, so warm replays never touch the
-// varint decoder at all. Spilled streams write a header-only .l2s
-// carrying the run scalars, with the raw CHTR record file adopted into
-// the store next to it as ".chtr".
+// Store file format (".l2s"): a fixed 128-byte header, then the
+// stream's delta/varint event buffer verbatim. Loading is one
+// os.ReadFile; the buffer is the tail of that allocation (zero-copy).
+//
+// Header layout (little-endian): magic [0:4], codec version [4:8], key
+// fingerprint [8:40], CRC-32C of everything after it [40:44], four
+// reserved zero bytes, then ten uint64s from offset 48 — records,
+// instructions, events, accesses, warmupAt, warmInstrAt, L1I misses,
+// L1D misses, warmed (0/1), buffer length.
 const (
 	storeMagic      = "CHL2"
 	storeHeaderSize = 128
-	storeFlagSpill  = 1
-
-	// Sidecar record: kind+flag byte, PC, then the kind's auxiliary
-	// word (data-access VPN or branch target; unused otherwise).
-	storeEventSize = 17
-	storeFlagTaken = 1 << 4
-	storeFlagCond  = 1 << 5
-	storeFlagInd   = 1 << 6
+	storeCRCOffset  = 40
+	storeU64Offset  = 48
 )
 
 // store is the cache's persistent tier: a content-addressed directory
@@ -98,14 +93,13 @@ func fingerprint(key Key) [sha256.Size]byte {
 	return sha256.Sum256([]byte(id))
 }
 
-// paths returns the metadata and spill-payload file paths for key.
-func (st *store) paths(key Key) (meta, spill string) {
+// path returns the .l2s file path for key.
+func (st *store) path(key Key) string {
 	h := fingerprint(key)
-	base := filepath.Join(st.dir, fmt.Sprintf("chirp-%x", h[:12]))
-	return base + ".l2s", base + ".chtr"
+	return filepath.Join(st.dir, fmt.Sprintf("chirp-%x.l2s", h[:12]))
 }
 
-// Derived sidecar format (".l2d"): magic, the derived-format and
+// Derived-view file format (".l2d"): magic, the derived-format and
 // stream-codec versions, the full derived key string, then a
 // checksummed payload. The payload's meaning belongs to the
 // DerivedSpec that wrote it; the store only guarantees that what load
@@ -113,26 +107,26 @@ func (st *store) paths(key Key) (meta, spill string) {
 // key, or nothing at all.
 const (
 	derivedMagic = "CHDV"
-	// DerivedFormatVersion identifies the sidecar container framing.
+	// DerivedFormatVersion identifies the .l2d container framing.
 	// Specs version their payloads separately, inside their keys.
 	// Version 2 replaced the payload's FNV-64a checksum with CRC-32C:
-	// warm sweeps checksum every sidecar they load, and the
+	// warm sweeps checksum every view they load, and the
 	// hardware-assisted CRC took that from ~15% of a warm fig7
 	// iteration's profile to noise.
 	DerivedFormatVersion = 2
 )
 
-// derivedCRC is the sidecar payload checksum table (Castagnoli, the
-// polynomial with hardware support on amd64 and arm64).
+// derivedCRC is the checksum table for .l2d payloads and .l2s bodies
+// (Castagnoli, the polynomial with hardware support on amd64 and
+// arm64).
 var derivedCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// derivedPath returns the sidecar file path for a derived key: the
+// derivedPath returns the .l2d file path for a derived key: the
 // stream's content-addressed base plus a hash of the derived key.
 func (st *store) derivedPath(key Key, dkey string) string {
-	meta, _ := st.paths(key)
 	h := fnv.New64a()
 	h.Write([]byte(dkey))
-	return fmt.Sprintf("%s-d%016x.l2d", strings.TrimSuffix(meta, ".l2s"), h.Sum64())
+	return fmt.Sprintf("%s-d%016x.l2d", strings.TrimSuffix(st.path(key), ".l2s"), h.Sum64())
 }
 
 // attachDerived wires the stream's derived-view persistence hooks to
@@ -149,10 +143,10 @@ func (st *store) attachDerived(s *Stream, key Key) {
 	}
 }
 
-// sidecarBufs recycles whole-file read buffers across sidecar loads:
-// warm sweeps load a handful of sidecars per stream, and re-zeroing a
+// derivedBufs recycles whole-file read buffers across .l2d loads:
+// warm sweeps load a handful of views per stream, and re-zeroing a
 // fresh allocation for each was measurable next to the decode itself.
-var sidecarBufs sync.Pool
+var derivedBufs sync.Pool
 
 // loadDerived returns the persisted payload for (key, dkey) plus a
 // hook releasing the pooled buffer the payload aliases, or (nil, nil)
@@ -176,12 +170,12 @@ func (st *store) loadDerived(key Key, dkey string) ([]byte, func()) {
 	}
 	size := int(fi.Size())
 	var data []byte
-	if bp, _ := sidecarBufs.Get().(*[]byte); bp != nil && cap(*bp) >= size {
+	if bp, _ := derivedBufs.Get().(*[]byte); bp != nil && cap(*bp) >= size {
 		data = (*bp)[:size]
 	} else {
 		data = make([]byte, size)
 	}
-	release := func() { sidecarBufs.Put(&data) }
+	release := func() { derivedBufs.Put(&data) }
 	if _, err := io.ReadFull(f, data); err != nil {
 		obsCacheDiskErrors.Inc()
 		release()
@@ -196,8 +190,9 @@ func (st *store) loadDerived(key Key, dkey string) ([]byte, func()) {
 	return payload, release
 }
 
-// decodeDerivedFile validates a sidecar's framing against the derived
-// key and returns its payload. Split from loadDerived for tests.
+// decodeDerivedFile validates a .l2d file's framing against the
+// derived key and returns its payload. Split from loadDerived for
+// tests.
 func decodeDerivedFile(data []byte, dkey string) ([]byte, bool) {
 	if len(data) < 16 || string(data[:4]) != derivedMagic {
 		return nil, false
@@ -245,7 +240,7 @@ func encodeDerivedFile(dkey string, payload []byte) []byte {
 func (st *store) saveDerived(key Key, dkey string, payload []byte) error {
 	f, err := os.CreateTemp(st.dir, "chirp-*.l2d.tmp")
 	if err != nil {
-		return fmt.Errorf("l2stream: staging derived sidecar: %w", err)
+		return fmt.Errorf("l2stream: staging derived view: %w", err)
 	}
 	tmp := f.Name()
 	_, err = f.Write(encodeDerivedFile(dkey, payload))
@@ -257,15 +252,15 @@ func (st *store) saveDerived(key Key, dkey string, payload []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("l2stream: persisting derived sidecar: %w", err)
+		return fmt.Errorf("l2stream: persisting derived view: %w", err)
 	}
 	st.gc()
 	return nil
 }
 
 // gc holds the persistent directory to its byte budget: capture groups
-// — a stream's .l2s metadata plus its .chtr spill payload and .l2d
-// derived sidecars, which stand or fall together — are evicted
+// — a stream's .l2s file plus its .l2d derived views, which stand or
+// fall together — are evicted
 // least-recently-used first (by the group's newest mtime; loads touch
 // the .l2s, so "used" means read or written) until the directory
 // fits. Concurrent processes sharing a directory may each run gc; the
@@ -297,7 +292,7 @@ func (st *store) gc() {
 			continue
 		}
 		ext := filepath.Ext(name)
-		if ext != ".l2s" && ext != ".chtr" && ext != ".l2d" {
+		if ext != ".l2s" && ext != ".l2d" {
 			continue
 		}
 		id := strings.TrimPrefix(name, "chirp-")
@@ -346,32 +341,63 @@ func (st *store) gc() {
 }
 
 // load returns the persisted stream for key, or (nil, nil) when the
-// store holds nothing usable for it — a missing, truncated, or
+// store holds nothing usable for it — a missing, truncated, corrupt or
 // mismatched file all read as "absent", so the caller recaptures and
 // save atomically replaces whatever was there.
 func (st *store) load(key Key) (*Stream, error) {
-	meta, spill := st.paths(key)
-	data, err := os.ReadFile(meta)
+	path := st.path(key)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
 		return nil, fmt.Errorf("l2stream: reading persisted capture: %w", err)
 	}
-	if len(data) < storeHeaderSize || string(data[:4]) != storeMagic {
+	s, ok := decodeStoreFile(data, key)
+	if !ok {
 		return nil, nil
 	}
+	st.attachDerived(s, key)
+	// Touch the file so the GC's LRU order counts reads as uses, not
+	// just the original capture time. Best-effort, and only worth a
+	// syscall when a byte budget means the GC can actually run.
+	st.mu.Lock()
+	limited := st.limit > 0
+	st.mu.Unlock()
+	if limited {
+		now := time.Now()
+		_ = os.Chtimes(path, now, now)
+	}
+	return s, nil
+}
+
+// decodeStoreFile validates a .l2s file against key and returns its
+// stream; the buffer aliases data. The checksum covers the run scalars
+// and the body, so a file it accepts is one save wrote (short of a
+// CRC-32C collision) and decodes to its header's event and access
+// counts. Split from load for tests.
+func decodeStoreFile(data []byte, key Key) (*Stream, bool) {
+	if len(data) < storeHeaderSize || string(data[:4]) != storeMagic {
+		return nil, false
+	}
 	if binary.LittleEndian.Uint32(data[4:8]) != CodecVersion {
-		return nil, nil
+		return nil, false
 	}
 	want := fingerprint(key)
 	if string(data[8:8+sha256.Size]) != string(want[:]) {
-		return nil, nil
+		return nil, false
 	}
-	flags := data[40]
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(data[48+8*i:]) }
-	s := &Stream{
+	if binary.LittleEndian.Uint32(data[storeCRCOffset:]) != crc32.Checksum(data[storeCRCOffset+4:], derivedCRC) {
+		return nil, false
+	}
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(data[storeU64Offset+8*i:]) }
+	body := data[storeHeaderSize:]
+	if u(9) != uint64(len(body)) || u(8) > 1 {
+		return nil, false
+	}
+	return &Stream{
 		cfg:          key.Config,
+		buf:          body,
 		records:      u(0),
 		instructions: u(1),
 		events:       u(2),
@@ -381,169 +407,26 @@ func (st *store) load(key Key) (*Stream, error) {
 		l1iMisses:    u(6),
 		l1dMisses:    u(7),
 		warmed:       u(8) != 0,
-		persistent:   true,
-	}
-	buflen := u(9)
-	if flags&storeFlagSpill != 0 {
-		if buflen != 0 {
-			return nil, nil
-		}
-		if _, err := os.Stat(spill); err != nil {
-			return nil, nil // metadata without its payload: recapture
-		}
-		s.spillPath = spill
-		return s, nil
-	}
-	if uint64(len(data)-storeHeaderSize) != buflen+s.events*storeEventSize {
-		return nil, nil
-	}
-	// Zero-copy: the middle of the ReadFile allocation is the encoded
-	// event buffer and the tail is the fixed-width sidecar; no decode,
-	// no second copy. The sidecar is validated here once so FixedDecoder
-	// needs no error path.
-	s.buf = data[storeHeaderSize : storeHeaderSize+buflen]
-	side := data[storeHeaderSize+buflen:]
-	if !sidecarValid(side) {
-		return nil, nil
-	}
-	s.sidecar = side
-	st.attachDerived(s, key)
-	// Touch the metadata file so the GC's LRU order counts reads as
-	// uses, not just the original capture time. Best-effort, and only
-	// worth a syscall when a byte budget means the GC can actually run.
-	st.mu.Lock()
-	limited := st.limit > 0
-	st.mu.Unlock()
-	if limited {
-		now := time.Now()
-		_ = os.Chtimes(meta, now, now)
-	}
-	return s, nil
+	}, true
 }
 
-// sidecarValid scans the sidecar's kind bytes. A malformed record
-// reads as "absent" like any other corruption, so the cache
-// recaptures.
-func sidecarValid(data []byte) bool {
-	for i := 0; i < len(data); i += storeEventSize {
-		if data[i]&0x0f > byte(EventWarmup) {
-			return false
-		}
-	}
-	return true
-}
-
-// FixedDecoder iterates the fixed-width sidecar records of a
-// persistently loaded stream. It mirrors Decoder's NextBlock shape so
-// replay kernels can stream either encoding in blocks, but each record
-// decodes with three fixed-offset loads instead of a varint chain.
-type FixedDecoder struct {
-	data      []byte
-	pageShift uint
-	pos       int
-}
-
-// NextBlock decodes up to len(evs) events and returns how many it
-// produced; 0 means the sidecar is exhausted.
-func (d *FixedDecoder) NextBlock(evs []Event) int {
-	n := 0
-	for n < len(evs) && d.pos+storeEventSize <= len(d.data) {
-		rec := d.data[d.pos : d.pos+storeEventSize : d.pos+storeEventSize]
-		d.pos += storeEventSize
-		ev := &evs[n]
-		n++
-		*ev = Event{Kind: EventKind(rec[0] & 0x0f)}
-		pc := binary.LittleEndian.Uint64(rec[1:9])
-		aux := binary.LittleEndian.Uint64(rec[9:17])
-		switch ev.Kind {
-		case EventInstrAccess:
-			ev.PC, ev.VPN = pc, pc>>d.pageShift
-		case EventDataAccess:
-			ev.PC, ev.VPN = pc, aux
-		case EventBranch:
-			ev.PC, ev.Target = pc, aux
-			ev.Taken = rec[0]&storeFlagTaken != 0
-			ev.Conditional = rec[0]&storeFlagCond != 0
-			ev.Indirect = rec[0]&storeFlagInd != 0
-		}
-	}
-	return n
-}
-
-// encodeSidecar serializes the full event view in fixed-width form.
-func encodeSidecar(evs []Event) []byte {
-	out := make([]byte, len(evs)*storeEventSize)
-	for i := range evs {
-		ev := &evs[i]
-		rec := out[i*storeEventSize:]
-		b := byte(ev.Kind)
-		aux := uint64(0)
-		switch ev.Kind {
-		case EventDataAccess:
-			aux = ev.VPN
-		case EventBranch:
-			aux = ev.Target
-			if ev.Taken {
-				b |= storeFlagTaken
-			}
-			if ev.Conditional {
-				b |= storeFlagCond
-			}
-			if ev.Indirect {
-				b |= storeFlagInd
-			}
-		}
-		rec[0] = b
-		binary.LittleEndian.PutUint64(rec[1:9], ev.PC)
-		binary.LittleEndian.PutUint64(rec[9:17], aux)
-	}
-	return out
-}
-
-// save persists a freshly captured stream under key. In-memory
-// streams write header+buffer to a temp file and rename into place;
-// spilled streams adopt their CHTR record file into the store (an
-// atomic rename when the capture spilled into the store directory,
-// which the cache arranges) and then write the header-only metadata.
-// After a successful save of a spilled stream, the stream's spill
-// path points into the store and the stream is marked persistent, so
-// Close never deletes what the store now owns.
+// save persists a freshly captured stream under key: header plus
+// buffer, staged in a temp file and renamed into place.
 func (st *store) save(key Key, s *Stream) error {
-	meta, spill := st.paths(key)
-	if s.Spilled() {
-		// Payload first: metadata must never address a missing file.
-		if err := os.Rename(s.spillPath, spill); err != nil {
-			return fmt.Errorf("l2stream: adopting spill file: %w", err)
-		}
-		s.spillMu.Lock()
-		s.spillPath = spill
-		s.persistent = true
-		s.spillMu.Unlock()
-	}
 	h := fingerprint(key)
 	hdr := make([]byte, storeHeaderSize)
 	copy(hdr, storeMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], CodecVersion)
 	copy(hdr[8:], h[:])
-	var buflen uint64
-	var sidecar []byte
-	if s.Spilled() {
-		hdr[40] = storeFlagSpill
-	} else {
-		buflen = uint64(len(s.buf))
-		evs, err := s.DecodeAll()
-		if err != nil {
-			return fmt.Errorf("l2stream: persisting capture: %w", err)
-		}
-		sidecar = encodeSidecar(evs)
-	}
 	for i, v := range [10]uint64{
 		s.records, s.instructions, s.events, s.accesses,
 		s.warmupAt, s.warmInstrAt, s.l1iMisses, s.l1dMisses,
-		b2u(s.warmed), buflen,
+		b2u(s.warmed), uint64(len(s.buf)),
 	} {
-		binary.LittleEndian.PutUint64(hdr[48+8*i:], v)
+		binary.LittleEndian.PutUint64(hdr[storeU64Offset+8*i:], v)
 	}
+	sum := crc32.Update(crc32.Checksum(hdr[storeCRCOffset+4:], derivedCRC), derivedCRC, s.buf)
+	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], sum)
 
 	f, err := os.CreateTemp(st.dir, "chirp-*.l2s.tmp")
 	if err != nil {
@@ -551,26 +434,20 @@ func (st *store) save(key Key, s *Stream) error {
 	}
 	tmp := f.Name()
 	_, err = f.Write(hdr)
-	if err == nil && !s.Spilled() {
+	if err == nil {
 		_, err = f.Write(s.buf)
-		if err == nil {
-			_, err = f.Write(sidecar)
-		}
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, meta)
+		err = os.Rename(tmp, st.path(key))
 	}
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("l2stream: persisting capture: %w", err)
 	}
-	if !s.Spilled() {
-		s.persistent = true
-		st.attachDerived(s, key)
-	}
+	st.attachDerived(s, key)
 	st.gc()
 	return nil
 }

@@ -1,7 +1,9 @@
 package l2stream
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/trace"
@@ -65,14 +67,7 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 			got.Warmed() != w.Warmed() {
 			t.Fatalf("loaded scalars diverge for %s", k.Workload)
 		}
-		ge, err := got.DecodeAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		we, err := w.DecodeAll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ge, we := decodeEvents(t, got, blockEvents), decodeEvents(t, w, blockEvents)
 		if len(ge) != len(we) {
 			t.Fatalf("loaded stream has %d events, captured %d", len(ge), len(we))
 		}
@@ -90,67 +85,7 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	}
 }
 
-// TestPersistentSpillAdoption: a capture that spills inside a
-// persistent cache is adopted into the store (its record file renamed,
-// not copied), survives Close, and a later cache replays it from the
-// same file.
-func TestPersistentSpillAdoption(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	dir := t.TempDir()
-	c, err := NewPersistent(64, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key{Workload: "w", Config: cfg}
-	s, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Spilled() {
-		t.Fatal("64-byte budget must force a spill")
-	}
-	if !s.Persistent() {
-		t.Fatal("spilled capture was not adopted into the store")
-	}
-	path := s.SpillPath()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Close deleted the store-owned spill file: %v", err)
-	}
-
-	c2, err := NewPersistent(64, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	s2, err := c2.GetOrCapture(key, func(CaptureOptions) (*Stream, error) {
-		t.Error("adopted spill was re-captured")
-		return nil, os.ErrInvalid
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Spilled() || s2.Records() != s.Records() {
-		t.Fatalf("loaded spill stream diverges: spilled=%v records=%d want %d",
-			s2.Spilled(), s2.Records(), s.Records())
-	}
-	fs, err := trace.OpenFile(s2.SpillPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(trace.Collect(fs))
-	fs.Close()
-	if uint64(n) != s.Records() {
-		t.Errorf("adopted file holds %d records, capture consumed %d", n, s.Records())
-	}
-}
-
-// TestPersistentCorruptionRecaptures: a truncated, garbage, or
+// TestPersistentCorruptionRecaptures: a truncated, garbage, damaged or
 // version-mismatched store file must read as absent — the cache
 // recaptures and atomically replaces it rather than erroring out.
 func TestPersistentCorruptionRecaptures(t *testing.T) {
@@ -187,6 +122,17 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"flip-body-byte", func(t *testing.T, meta string) {
+			// The header still parses; only the body checksum catches it.
+			data, err := os.ReadFile(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[storeHeaderSize+len(data[storeHeaderSize:])/2] ^= 0x01
+			if err := os.WriteFile(meta, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"short-payload", func(t *testing.T, meta string) {
 			fi, err := os.Stat(meta)
 			if err != nil {
@@ -212,14 +158,14 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			meta, _ := (&store{dir: dir}).paths(key)
-			tc.mod(t, meta)
+			tc.mod(t, (&store{dir: dir}).path(key))
 
 			c2, err := NewPersistent(0, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c2.Close()
+			diskErrors0 := obsCacheDiskErrors.Value()
 			captures := 0
 			s, err := c2.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
 				captures++
@@ -230,6 +176,9 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			}
 			if captures != 1 {
 				t.Errorf("capture ran %d times, want 1 (recapture past the corrupt file)", captures)
+			}
+			if d := obsCacheDiskErrors.Value() - diskErrors0; d != 0 {
+				t.Errorf("corrupt file counted %d disk errors, want 0 (it reads as absent)", d)
 			}
 			if s.Events() == 0 {
 				t.Error("recaptured stream is empty")
@@ -272,5 +221,69 @@ func TestFingerprintSensitivity(t *testing.T) {
 			t.Errorf("key %d collides with %d", i, j)
 		}
 		seen[h] = i
+	}
+}
+
+// fuzzKey is the key the seed corpus under testdata/fuzz was captured
+// under: testRecords(400) through testConfig(600).
+var fuzzKey = Key{Workload: "fuzz", Config: testConfig(600)}
+
+// FuzzDecodeStoreFile: decodeStoreFile never panics, and any .l2s file
+// it accepts decodes through NextBlock to exactly the header's event
+// and access counts. The seed corpus holds a real capture plus damaged
+// copies of it.
+func FuzzDecodeStoreFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, ok := decodeStoreFile(data, fuzzKey)
+		if !ok {
+			return
+		}
+		var events, accesses uint64
+		err := s.EachBlock(func(evs []Event) {
+			for i := range evs {
+				events++
+				if k := evs[i].Kind; k == EventInstrAccess || k == EventDataAccess {
+					accesses++
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("accepted file fails to decode: %v", err)
+		}
+		if events != s.Events() || accesses != s.Accesses() {
+			t.Fatalf("accepted file decodes to %d events / %d accesses, header says %d / %d",
+				events, accesses, s.Events(), s.Accesses())
+		}
+	})
+}
+
+// TestFuzzSeedIsCurrent pins the valid seed to the current codec: it
+// must decode, and must equal what save writes for the same capture
+// today, so a format change cannot silently leave the fuzz target
+// exercising only its rejection paths.
+func TestFuzzSeedIsCurrent(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeStoreFile", "capture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := Capture(trace.NewSliceSource(testRecords(400)), fuzzKey.Config, CaptureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &store{dir: dir}
+	if err := st.save(fuzzKey, s); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(st.path(fuzzKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+	if string(seed) != want {
+		t.Fatal("testdata/fuzz/FuzzDecodeStoreFile/capture is stale: it must hold what save writes for testRecords(400) under fuzzKey, in go test fuzz v1 form")
+	}
+	if _, ok := decodeStoreFile(data, fuzzKey); !ok {
+		t.Fatal("current capture fails to decode")
 	}
 }

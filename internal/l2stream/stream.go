@@ -9,20 +9,21 @@
 // sequence of L2 demand accesses and the interleaved branch stream are
 // identical for every L2 replacement policy. Capture runs the
 // generator and the two L1 filters once and encodes that shared
-// sequence; sim.ReplayTLBOnly then drives any number of L2 policies
-// over it, bit-identical to sim.RunTLBOnly.
+// sequence; sim.ReplayMulti then drives any number of L2 policies
+// over views derived from it, bit-identical to sim.RunTLBOnly.
 //
-// Streams are delta/varint-encoded in memory (a few bytes per event).
-// Streams that exceed the capture byte budget spill the raw record
-// prefix to a CHTR trace file instead (the same on-disk machinery as
-// internal/trace/file.go); replaying a spilled stream degrades to a
-// direct run over the file, which is bit-identical by construction.
+// A stream has exactly one base form: the delta/varint event buffer
+// (a few bytes per event), which is also the body of its persisted
+// .l2s file. Everything replay walks — the dense access view and the
+// signature sequences — is a derived view built by streaming that
+// buffer through Decoder.NextBlock (derived.go). A capture whose
+// buffer would pass the byte budget stops with ErrOverBudget, and the
+// caller runs the direct driver instead.
 package l2stream
 
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 
 	"github.com/chirplab/chirp/internal/tlb"
@@ -133,8 +134,8 @@ func (e *encoder) branch(pc uint64, conditional, indirect, taken bool, target ui
 
 func (e *encoder) warmup() { e.buf = append(e.buf, wireWarmup) }
 
-// Decoder iterates a captured in-memory stream. It is single-use and
-// not safe for concurrent use; take one Decoder per replay.
+// Decoder iterates a captured stream in blocks. It is single-use and
+// not safe for concurrent use; take one Decoder per pass.
 type Decoder struct {
 	buf       []byte
 	pos       int
@@ -144,64 +145,13 @@ type Decoder struct {
 	err       error
 }
 
-// Next fills ev with the next event and reports whether one was
-// available. Decoding errors stop the stream; check Err afterwards.
-func (d *Decoder) Next(ev *Event) bool {
-	if d.err != nil || d.pos >= len(d.buf) {
-		return false
-	}
-	tag := d.buf[d.pos]
-	d.pos++
-	kind := tag & wireKindMask
-	if kind == wireWarmup {
-		*ev = Event{Kind: EventWarmup}
-		return true
-	}
-	pcDelta, ok := d.varint()
-	if !ok {
-		return false
-	}
-	pc := d.lastPC + uint64(pcDelta)
-	d.lastPC = pc
-	switch kind {
-	case wireInstrAccess:
-		*ev = Event{Kind: EventInstrAccess, PC: pc, VPN: pc >> d.pageShift}
-	case wireDataAccess:
-		vpnDelta, ok := d.varint()
-		if !ok {
-			return false
-		}
-		vpn := d.lastVPN + uint64(vpnDelta)
-		d.lastVPN = vpn
-		*ev = Event{Kind: EventDataAccess, PC: pc, VPN: vpn}
-	case wireCondBranch, wireDirBranch, wireIndBranch:
-		tgtDelta, ok := d.varint()
-		if !ok {
-			return false
-		}
-		*ev = Event{
-			Kind:        EventBranch,
-			PC:          pc,
-			Target:      pc + uint64(tgtDelta),
-			Conditional: kind == wireCondBranch,
-			Indirect:    kind == wireIndBranch,
-			Taken:       tag&wireTaken != 0,
-		}
-	default:
-		d.err = fmt.Errorf("l2stream: corrupt stream: unknown event kind %d at offset %d", kind, d.pos-1)
-		return false
-	}
-	return true
-}
-
 // NextBlock decodes up to len(evs) events and returns how many it
 // produced; 0 means the stream is exhausted (or broken — check Err).
-// It is the bulk counterpart of Next for replay loops: decode state
-// stays in locals, varints are open-coded, and — unlike Next — each
+// Decode state stays in locals, varints are open-coded, and each
 // event's fields are stored selectively, so only the fields meaningful
 // for the decoded Kind are valid (an access event's Target, say, holds
 // whatever the buffer held before). Consumers must switch on Kind
-// before touching the rest, which every replay loop does anyway.
+// before touching the rest, which every view builder does anyway.
 func (d *Decoder) NextBlock(evs []Event) int {
 	if d.err != nil {
 		return 0
@@ -269,21 +219,6 @@ func (d *Decoder) NextBlock(evs []Event) int {
 	return n
 }
 
-// skipVarint advances past one varint without decoding its value —
-// the cheap path for payloads the access-only view discards (branch
-// target deltas).
-//
-//chirp:hotpath
-func skipVarint(buf []byte, pos int) (int, bool) {
-	for pos < len(buf) {
-		if buf[pos] < 0x80 {
-			return pos + 1, true
-		}
-		pos++
-	}
-	return pos, false
-}
-
 // decodeVarint is binary.Varint open-coded against (buf, pos): no
 // subslice construction per call, and a branch-light fast path for the
 // one- and two-byte encodings that dominate delta streams.
@@ -322,74 +257,33 @@ func decodeVarint(buf []byte, pos int) (int64, int, bool) {
 	return 0, pos, false // truncated
 }
 
-func (d *Decoder) varint() (int64, bool) {
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.err = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", d.pos)
-		return 0, false
-	}
-	d.pos += n
-	return v, true
-}
-
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Stream is one captured workload stream: either an in-memory encoded
-// event buffer or a spilled CHTR record file, plus the policy-invariant
-// run scalars (instruction totals, warmup position, L1 miss counts)
-// that every replay shares. Streams are immutable after capture and
-// safe for concurrent replays.
+// Stream is one captured workload stream: the delta/varint event
+// buffer plus the policy-invariant run scalars (instruction totals,
+// warmup position, L1 miss counts) that every replay shares. Streams
+// are immutable after capture and safe for concurrent replays; the
+// only state that grows later is the derived-view memo (derived.go).
 type Stream struct {
 	cfg Config
-	buf []byte // encoded events; nil when spilled
-
-	decodeOnce sync.Once
-	decoded    []Event // memoized DecodeAll result
-	decodeErr  error
-	// sidecar holds the fixed-width pre-decoded event records a
-	// persistent-store load carries (zero-copy into the store file's
-	// ReadFile allocation; see store.go). When present, replay kernels
-	// and DecodeAll read events from it with a fixed-stride loop
-	// instead of the varint decoder. Written only at construction.
-	sidecar []byte
-
-	// Second memoized view: access + warmup events only, for the
-	// policies that do not observe branches. Like decoded it is
-	// materialized single-flight (sync.Once) so concurrent replays of
-	// one stream from different engine workers share one decode.
-	accOnce sync.Once
-	accEvts []Event
-	accErr  error
+	buf []byte // encoded events
 
 	// Derived views (see derived.go): keyed single-flight memos of
 	// precomputed arrays, plus the persistence and accounting hooks the
 	// capture store and the cache install. dvLoad/dvSave are written
 	// once when the store loads or saves the stream, onGrow once when
 	// the cache commits it — all before other goroutines can reach the
-	// stream, so only the map itself needs the mutex.
-	// dvLoad returns a sidecar payload plus a release hook (either may
-	// be nil); the payload may alias a pooled buffer, so Derived calls
-	// release as soon as the spec's Decode has copied out of it.
-	derivedMu sync.Mutex
-	derived   map[string]*derivedSlot
-	dvLoad    func(key string) (payload []byte, release func())
-	dvSave    func(key string, payload []byte)
-	onGrow    func(delta int64)
-
-	spillPath string
-
-	// Spill-file lifetime. Replays of a spilled stream hold the file
-	// open for their whole pass, while Cache.Close (or an explicit
-	// Stream.Close) may run concurrently — the eviction contract
-	// promises in-flight replays keep working. RetainSpill/release
-	// refcount the file so deletion is deferred until the last reader
-	// is done; persistent streams' files belong to the capture store
-	// and are never deleted by Close at all.
-	spillMu    sync.Mutex
-	spillRefs  int
-	spillClose bool // Close ran; delete the file when refs reach zero
-	persistent bool // file owned by the on-disk capture store
+	// stream, so only the map and the byte total need the mutex.
+	// dvLoad returns a payload plus a release hook (either may be nil);
+	// the payload may alias a pooled buffer, so Derived calls release
+	// as soon as the spec's Decode has copied out of it.
+	derivedMu    sync.Mutex
+	derived      map[string]*derivedSlot
+	derivedBytes int64
+	dvLoad       func(key string) (payload []byte, release func())
+	dvSave       func(key string, payload []byte)
+	onGrow       func(delta int64)
 
 	records      uint64
 	instructions uint64
@@ -406,15 +300,7 @@ type Stream struct {
 // Config returns the capture configuration the stream was built under.
 func (s *Stream) Config() Config { return s.cfg }
 
-// Spilled reports whether the stream overflowed its byte budget and
-// lives on disk as a raw record file instead of in memory.
-func (s *Stream) Spilled() bool { return s.spillPath != "" }
-
-// SpillPath returns the CHTR file path of a spilled stream ("" when
-// the stream is in memory).
-func (s *Stream) SpillPath() string { return s.spillPath }
-
-// MemBytes returns the in-memory encoded size (0 when spilled).
+// MemBytes returns the encoded event buffer's size.
 func (s *Stream) MemBytes() int { return len(s.buf) }
 
 // Records returns how many trace records the capture consumed.
@@ -423,10 +309,10 @@ func (s *Stream) Records() uint64 { return s.records }
 // Instructions returns the total committed instruction count.
 func (s *Stream) Instructions() uint64 { return s.instructions }
 
-// Events returns the captured event count (0 when spilled).
+// Events returns the captured event count.
 func (s *Stream) Events() uint64 { return s.events }
 
-// Accesses returns the L2 demand access count (0 when spilled).
+// Accesses returns the L2 demand access count.
 func (s *Stream) Accesses() uint64 { return s.accesses }
 
 // Warmed reports whether the capture reached the warmup boundary.
@@ -445,210 +331,46 @@ func (s *Stream) L1IMisses() uint64 { return s.l1iMisses }
 // L1DMisses returns the post-warmup L1 data-TLB miss count.
 func (s *Stream) L1DMisses() uint64 { return s.l1dMisses }
 
-// Decode returns a fresh event iterator over an in-memory stream. It
-// panics on spilled streams — callers must branch on Spilled first.
+// Decode returns a fresh block iterator over the stream's events.
 func (s *Stream) Decode() *Decoder {
-	if s.Spilled() {
-		panic("l2stream: Decode on a spilled stream; replay the spill file instead")
-	}
 	return &Decoder{buf: s.buf, pageShift: s.cfg.PageShift}
 }
 
-// eventBytes is the in-memory cost of one decoded Event, used by
-// FootprintBytes to account the DecodeAll memo against cache budgets.
-const eventBytes = 32
+// blockEvents is the block size EachBlock decodes into: large enough
+// to amortize the per-block call, small enough to stay in L1.
+const blockEvents = 256
 
-// DecodeFixed returns a decoder over the fixed-width pre-decoded
-// sidecar a persistent-store load carries, or ok=false when the
-// stream has none (fresh captures, spilled streams). The sidecar's
-// fixed-stride records decode several times cheaper than the varint
-// buffer and without materializing a view, so replay kernels prefer
-// it when present. The sidecar is validated at load time; the decoder
-// has no error path.
-func (s *Stream) DecodeFixed() (*FixedDecoder, bool) {
-	if s.sidecar == nil {
-		return nil, false
-	}
-	return &FixedDecoder{data: s.sidecar, pageShift: s.cfg.PageShift}, true
-}
-
-// DecodeAll returns the stream's full event sequence as one shared
-// slice, decoding and memoizing it on first use — so an N-policy
-// replay fan-out pays the decode once, not N times. The slice is
-// shared between every caller and MUST be treated as read-only.
-// Like Decode, it panics on spilled streams.
-func (s *Stream) DecodeAll() ([]Event, error) {
-	if s.Spilled() {
-		panic("l2stream: DecodeAll on a spilled stream; replay the spill file instead")
-	}
-	s.decodeOnce.Do(func() {
-		evs := make([]Event, s.events)
-		if s.sidecar != nil {
-			d := FixedDecoder{data: s.sidecar, pageShift: s.cfg.PageShift}
-			if n := d.NextBlock(evs); uint64(n) != s.events {
-				s.decodeErr = fmt.Errorf("l2stream: corrupt sidecar: decoded %d of %d events", n, s.events)
-				return
-			}
-			s.decoded = evs
-			return
+// EachBlock streams the whole event sequence through fn, one decoded
+// block at a time, and checks that the buffer held exactly Events()
+// events. The block aliases a buffer reused across calls, so fn must
+// not retain it; as with NextBlock, only the fields meaningful for
+// each event's Kind are valid.
+func (s *Stream) EachBlock(fn func(evs []Event)) error {
+	d := s.Decode()
+	var blk [blockEvents]Event
+	var n uint64
+	for {
+		k := d.NextBlock(blk[:])
+		if k == 0 {
+			break
 		}
-		d := s.Decode()
-		n := d.NextBlock(evs)
-		if err := d.Err(); err != nil {
-			s.decodeErr = err
-			return
-		}
-		if uint64(n) != s.events || d.pos != len(d.buf) {
-			s.decodeErr = fmt.Errorf("l2stream: corrupt stream: decoded %d of %d events", n, s.events)
-			return
-		}
-		s.decoded = evs
-	})
-	return s.decoded, s.decodeErr
-}
-
-// DecodeAccesses returns the stream's access-and-warmup event
-// subsequence — the branch-free view non-BranchObserver policies
-// replay over, skipping the branch events they would discard (branch
-// events outnumber L2 demand accesses by an order of magnitude on
-// branchy workloads). The slice is decoded directly from the encoded
-// buffer on first use (branch PC deltas are consumed to keep the
-// delta chain intact, target deltas are skipped undecoded), memoized
-// single-flight, shared between callers and MUST be treated as
-// read-only. Like DecodeAll, it panics on spilled streams.
-func (s *Stream) DecodeAccesses() ([]Event, error) {
-	if s.Spilled() {
-		panic("l2stream: DecodeAccesses on a spilled stream; replay the spill file instead")
+		n += uint64(k)
+		fn(blk[:k])
 	}
-	s.accOnce.Do(func() {
-		n := s.accesses
-		if s.warmed && s.warmupAt > 0 {
-			n++ // the warmup marker survives into the filtered view
-		}
-		evs := make([]Event, 0, n)
-		buf := s.buf
-		shift := s.cfg.PageShift
-		var lastPC, lastVPN uint64
-		pos := 0
-		for pos < len(buf) {
-			tag := buf[pos]
-			pos++
-			kind := tag & wireKindMask
-			if kind == wireWarmup {
-				evs = append(evs, Event{Kind: EventWarmup})
-				continue
-			}
-			delta, p, ok := decodeVarint(buf, pos)
-			if !ok {
-				s.accErr = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-				return
-			}
-			pos = p
-			lastPC += uint64(delta)
-			switch kind {
-			case wireInstrAccess:
-				evs = append(evs, Event{Kind: EventInstrAccess, PC: lastPC, VPN: lastPC >> shift})
-			case wireDataAccess:
-				delta, p, ok = decodeVarint(buf, pos)
-				if !ok {
-					s.accErr = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-					return
-				}
-				pos = p
-				lastVPN += uint64(delta)
-				evs = append(evs, Event{Kind: EventDataAccess, PC: lastPC, VPN: lastVPN})
-			case wireCondBranch, wireDirBranch, wireIndBranch:
-				// The branch PC delta above kept the chain intact; the
-				// target delta carries no cross-event state, so skip it.
-				if pos, ok = skipVarint(buf, pos); !ok {
-					s.accErr = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-					return
-				}
-			default:
-				s.accErr = fmt.Errorf("l2stream: corrupt stream: unknown event kind %d at offset %d", kind, pos-1)
-				return
-			}
-		}
-		if uint64(len(evs)) != n {
-			s.accErr = fmt.Errorf("l2stream: corrupt stream: decoded %d of %d access events", len(evs), n)
-			return
-		}
-		s.accEvts = evs
-	})
-	return s.accEvts, s.accErr
-}
-
-// FootprintBytes is the stream's total in-memory cost: the encoded
-// buffer plus both decoded views replays memoize (the full DecodeAll
-// slice and the branch-free DecodeAccesses slice), accounted at their
-// materialized size even before first decode so cache eviction never
-// undercounts. The cache accounts this, not just MemBytes, against
-// its budget.
-func (s *Stream) FootprintBytes() int64 {
-	return int64(len(s.buf)) + int64(len(s.sidecar)) + int64(s.events)*eventBytes + int64(s.accesses+1)*eventBytes
-}
-
-// Persistent reports whether the stream's backing file (spill case)
-// belongs to a persistent capture store, in which case Close never
-// deletes it.
-func (s *Stream) Persistent() bool { return s.persistent }
-
-// RetainSpill pins the spill file of a spilled stream and returns its
-// path with a release function. While retained, a concurrent Close
-// (from Cache.Close or cache eviction) defers the file deletion until
-// release runs, so a long replay cannot lose the file mid-pass. It
-// fails once Close has already run, which is the one clean error a
-// replay racing a cache shutdown should see.
-//
-//chirp:acquires spillref
-func (s *Stream) RetainSpill() (string, func(), error) {
-	if s.spillPath == "" {
-		return "", nil, fmt.Errorf("l2stream: RetainSpill on an in-memory stream")
+	if err := d.Err(); err != nil {
+		return err
 	}
-	s.spillMu.Lock()
-	defer s.spillMu.Unlock()
-	if s.spillClose {
-		return "", nil, fmt.Errorf("l2stream: spilled stream already closed")
-	}
-	s.spillRefs++
-	return s.spillPath, s.releaseSpill, nil
-}
-
-// releaseSpill drops one spill reference, deleting the file if Close
-// already ran and this was the last reader.
-//
-//chirp:releases spillref
-func (s *Stream) releaseSpill() {
-	s.spillMu.Lock()
-	s.spillRefs--
-	remove := s.spillRefs == 0 && s.spillClose && !s.persistent
-	path := s.spillPath
-	s.spillMu.Unlock()
-	if remove {
-		os.Remove(path)
-	}
-}
-
-// Close releases the stream's spill file, if any. In-memory streams
-// need no cleanup and Close is a no-op for them, as it is for
-// persistent streams whose files the capture store owns. If replays
-// still hold the file via RetainSpill, deletion is deferred until the
-// last one releases it.
-func (s *Stream) Close() error {
-	if s.spillPath == "" {
-		return nil
-	}
-	s.spillMu.Lock()
-	if s.spillClose {
-		s.spillMu.Unlock()
-		return nil
-	}
-	s.spillClose = true
-	remove := s.spillRefs == 0 && !s.persistent
-	path := s.spillPath
-	s.spillMu.Unlock()
-	if remove {
-		return os.Remove(path)
+	if n != s.events {
+		return fmt.Errorf("l2stream: corrupt stream: decoded %d of %d events", n, s.events)
 	}
 	return nil
+}
+
+// FootprintBytes is the stream's in-memory cost: the encoded buffer
+// plus every derived view materialized so far. The cache accounts
+// this against its budget.
+func (s *Stream) FootprintBytes() int64 {
+	s.derivedMu.Lock()
+	defer s.derivedMu.Unlock()
+	return int64(len(s.buf)) + s.derivedBytes
 }

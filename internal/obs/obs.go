@@ -13,7 +13,7 @@
 //     this package may be called from them per event. Instrumented
 //     layers aggregate into their existing plain counters and publish
 //     deltas at run boundaries (see Publisher), so the measured cost on
-//     BenchmarkReplayTLBOnly is below the noise floor.
+//     the replay benchmarks is below the noise floor.
 //   - Concurrency. Every metric type is safe for concurrent use from
 //     engine workers: counters and gauges are single atomics, histogram
 //     buckets are atomic slots, families guard their maps with RWMutex

@@ -18,10 +18,11 @@
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
 //
-// The views are memoized on the stream (l2stream.Derived: single-
-// flight, budget-accounted) and persisted as derived sidecars when the
-// stream belongs to a -capturedir store, so warm sweeps skip both the
-// decode and the signature recomputation.
+// Each builder streams the stream's varint buffer once through
+// l2stream.Stream.EachBlock. The views are memoized on the stream
+// (l2stream.Derived: single-flight, budget-accounted) and persisted as
+// .l2d files when the stream belongs to a -capturedir store, so warm
+// sweeps skip both the decode and the signature recomputation.
 package sim
 
 import (
@@ -83,13 +84,9 @@ func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, err
 	return v.(*replayView), nil
 }
 
-// buildReplayView walks the branch-free access view once, running the
-// shared stride prefetcher exactly as a live replay would.
+// buildReplayView walks the stream's events once, running the shared
+// stride prefetcher over the accesses exactly as a direct run would.
 func buildReplayView(s *l2stream.Stream, sets, pd int) (*replayView, error) {
-	evs, err := s.DecodeAccesses()
-	if err != nil {
-		return nil, err
-	}
 	n := int(s.Accesses())
 	v := &replayView{
 		pc:      make([]uint64, 0, n),
@@ -104,24 +101,31 @@ func buildReplayView(s *l2stream.Stream, sets, pd int) (*replayView, error) {
 		v.pfOff = make([]uint32, 1, n+1)
 	}
 	mask := uint64(sets - 1)
-	for i := range evs {
-		ev := &evs[i]
-		if ev.Kind == l2stream.EventWarmup {
-			v.warmIdx = len(v.pc)
-			continue
+	err := s.EachBlock(func(evs []l2stream.Event) {
+		for i := range evs {
+			ev := &evs[i]
+			var instr uint8
+			switch ev.Kind {
+			case l2stream.EventWarmup:
+				v.warmIdx = len(v.pc)
+				continue
+			case l2stream.EventBranch:
+				continue
+			case l2stream.EventInstrAccess:
+				instr = 1
+			}
+			v.pc = append(v.pc, ev.PC)
+			v.vpn = append(v.vpn, ev.VPN)
+			v.set = append(v.set, uint32(ev.VPN&mask))
+			v.instr = append(v.instr, instr)
+			if pf != nil {
+				v.pfVPN = append(v.pfVPN, pf.observe(ev.PC, ev.VPN)...)
+				v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
+			}
 		}
-		v.pc = append(v.pc, ev.PC)
-		v.vpn = append(v.vpn, ev.VPN)
-		v.set = append(v.set, uint32(ev.VPN&mask))
-		if ev.Kind == l2stream.EventInstrAccess {
-			v.instr = append(v.instr, 1)
-		} else {
-			v.instr = append(v.instr, 0)
-		}
-		if pf != nil {
-			v.pfVPN = append(v.pfVPN, pf.observe(ev.PC, ev.VPN)...)
-			v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(v.pc) != n {
 		return nil, fmt.Errorf("sim: replay view decoded %d accesses, stream reports %d", len(v.pc), n)
@@ -129,7 +133,7 @@ func buildReplayView(s *l2stream.Stream, sets, pd int) (*replayView, error) {
 	return v, nil
 }
 
-// encodeReplayView serializes the view for the derived sidecar. The
+// encodeReplayView serializes the view as a .l2d payload. The
 // set-index array is recomputed at decode (one mask per access) rather
 // than stored.
 func encodeReplayView(v *replayView) []byte {
@@ -156,7 +160,7 @@ func encodeReplayView(v *replayView) []byte {
 	return out
 }
 
-// decodeReplayView validates a sidecar payload against the stream and
+// decodeReplayView validates a .l2d payload against the stream and
 // the view's configuration and rebuilds the in-memory form. ok=false
 // means corrupt or stale — the caller rebuilds from the stream.
 func decodeReplayView(s *l2stream.Stream, data []byte, sets, pd int) (*replayView, bool) {
@@ -246,25 +250,26 @@ func chirpSigsFor(stream *l2stream.Stream, cfg core.Config) ([]uint32, error) {
 	return v.([]uint32), nil
 }
 
-// buildCHiRPSigs replays the signature computation over the full event
-// view once, through the same Histories/signature code the live policy
-// runs (core.SigSequencer).
+// buildCHiRPSigs replays the signature computation over the stream's
+// events once, through the same Histories/signature code the live
+// policy runs (core.SigSequencer).
 func buildCHiRPSigs(s *l2stream.Stream, cfg core.Config) ([]uint32, error) {
-	evs, err := s.DecodeAll()
-	if err != nil {
-		return nil, err
-	}
 	q := core.NewSigSequencer(cfg)
 	out := make([]uint32, 0, s.Accesses())
-	for i := range evs {
-		ev := &evs[i]
-		switch ev.Kind {
-		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			sig, psig := q.OnAccess(ev.PC)
-			out = append(out, uint32(sig)|uint32(psig)<<16)
-		case l2stream.EventBranch:
-			q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
+	err := s.EachBlock(func(evs []l2stream.Event) {
+		for i := range evs {
+			ev := &evs[i]
+			switch ev.Kind {
+			case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+				sig, psig := q.OnAccess(ev.PC)
+				out = append(out, uint32(sig)|uint32(psig)<<16)
+			case l2stream.EventBranch:
+				q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if uint64(len(out)) != s.Accesses() {
 		return nil, fmt.Errorf("sim: chirp signature view built %d entries, stream reports %d accesses", len(out), s.Accesses())
@@ -305,20 +310,21 @@ func ghrpSigsFor(stream *l2stream.Stream) ([]uint64, error) {
 }
 
 func buildGHRPSigs(s *l2stream.Stream) (any, error) {
-	evs, err := s.DecodeAll()
-	if err != nil {
-		return nil, err
-	}
 	var h policy.GHRPHistory
 	out := make([]uint64, 0, s.Accesses())
-	for i := range evs {
-		ev := &evs[i]
-		switch ev.Kind {
-		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			out = append(out, h.Signature(ev.PC))
-		case l2stream.EventBranch:
-			h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
+	err := s.EachBlock(func(evs []l2stream.Event) {
+		for i := range evs {
+			ev := &evs[i]
+			switch ev.Kind {
+			case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+				out = append(out, h.Signature(ev.PC))
+			case l2stream.EventBranch:
+				h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if uint64(len(out)) != s.Accesses() {
 		return nil, fmt.Errorf("sim: ghrp signature view built %d entries, stream reports %d accesses", len(out), s.Accesses())

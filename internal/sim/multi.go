@@ -12,7 +12,6 @@ import (
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
-	"github.com/chirplab/chirp/internal/trace"
 )
 
 // ReplayMulti drives all N policies over a captured stream's derived
@@ -23,20 +22,20 @@ import (
 // precomputed signature sequence (tlb.SignatureFed), so no policy
 // maintains history registers at replay time. Policies are partitioned
 // across min(N, GOMAXPROCS) goroutines sharing the read-only views.
-// Results are bit-identical to calling ReplayTLBOnly once per policy,
-// in the same order as policies.
+// Results are bit-identical to calling RunTLBOnly once per policy over
+// the captured trace, in the same order as policies.
 //
 // The equivalence argument: the captured event sequence is fixed and
 // policy state lives entirely inside each policy's own TLB, so each
 // policy's callback sequence — Lookup, Insert, prefetch fills, warmup
-// latch, in access order — is exactly the solo replay's. What the solo
-// replay derives per event (set indices, stride-prefetch decisions,
-// CHiRP/GHRP signatures) is a pure function of the stream, computed
-// once by the derived views through the same code the live policies
-// run; branch events matter only through those signatures, so fed
-// policies never walk them. A branch-observing policy outside the
-// known signature families falls back to a solo-shaped replay over the
-// memoized full event view.
+// latch, in access order — is exactly the direct run's. What the
+// direct run derives per access (set indices, stride-prefetch
+// decisions, CHiRP/GHRP signatures) is a pure function of the stream,
+// computed once by the derived views through the same code the live
+// policies run; branch events matter only through those signatures, so
+// fed policies never walk them. A branch observer outside the
+// signature-fed families (CHiRP, GHRP) cannot be replayed this way:
+// ReplayMulti rejects it, and Run/RunMulti send it to RunTLBOnly.
 func ReplayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) ([]TLBOnlyResult, error) {
 	return replayMulti(stream, policies, cfg, runtime.GOMAXPROCS(0))
 }
@@ -50,10 +49,13 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
 		return nil, fmt.Errorf("sim: stream captured under %+v cannot replay %+v", got, want)
 	}
-	if stream.Spilled() {
-		return replayMultiSpilled(stream, policies, cfg, workers)
+	for _, p := range policies {
+		if !replayable(p) {
+			return nil, fmt.Errorf("sim: ReplayMulti cannot replay %s: it observes branches but is not signature-fed (run it with RunTLBOnly)", p.Name())
+		}
 	}
 	if !stream.Warmed() {
+		// The same failure RunTLBOnly reports for a too-short trace.
 		return nil, fmt.Errorf("sim: trace ended before warmup boundary (%d < %d instructions)", stream.Instructions(), stream.WarmupAt())
 	}
 	rv, err := replayViewFor(stream, cfg)
@@ -72,6 +74,17 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 		}
 	}
 	return out, nil
+}
+
+// replayable reports whether ReplayMulti can drive p: any policy that
+// ignores branches, plus the two signature-fed branch observers.
+func replayable(p tlb.Policy) bool {
+	switch p.(type) {
+	case *core.CHiRP, *policy.GHRP:
+		return true
+	}
+	_, observes := p.(tlb.BranchObserver)
+	return !observes
 }
 
 // runPolicies executes job(0..n-1), fanning across workers goroutines
@@ -127,9 +140,10 @@ func runPolicies(workers, n int, job func(j int)) {
 
 // replayOne replays a single policy over the shared derived views:
 // CHiRP and GHRP run in external-signature mode against their
-// precomputed sequences, other branch observers fall back to the
-// solo-shaped full-event replay (still over the memoized view), and
-// everything else walks the dense access view directly.
+// precomputed sequences, everything else walks the dense access view
+// alone. The three walkers differ only in the signature feed; folding
+// them into one walker with a per-walk switch on the feed made the
+// CHiRP and GHRP walks measurably slower, so they stay separate.
 func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
 	switch pp := p.(type) {
 	case *core.CHiRP:
@@ -159,9 +173,6 @@ func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnl
 		w.walkGHRP(rv, pp, sigs)
 		return finishReplay(stream, p, t, w.warm), nil
 	default:
-		if _, observes := p.(tlb.BranchObserver); observes {
-			return ReplayTLBOnly(stream, p, cfg)
-		}
 		t, err := tlb.New(cfg.Hierarchy.L2, p)
 		if err != nil {
 			return TLBOnlyResult{}, err
@@ -173,8 +184,8 @@ func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnl
 }
 
 // finishReplay closes out one policy's replayed TLB: accounting flush,
-// metric publication, result assembly — the same epilogue as the solo
-// replay, off the hot path.
+// metric publication, result assembly — the same epilogue as the
+// direct run, off the hot path.
 //
 //chirp:releases tlbarrays
 func finishReplay(stream *l2stream.Stream, p tlb.Policy, t *tlb.TLB, warm tlb.Stats) TLBOnlyResult {
@@ -337,42 +348,14 @@ func (w *denseWalker) walkGHRP(v *replayView, p *policy.GHRP, sigs []uint64) {
 	}
 }
 
-// replayMultiSpilled replays a spilled stream: the event view never
-// materialized, so each policy re-runs the direct driver over the
-// record file — held retained for the whole fan-out so a racing
-// Cache.Close cannot delete it mid-read. Policies fan across the same
-// worker pool as the in-memory path; each opens its own reader.
-func replayMultiSpilled(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig, workers int) ([]TLBOnlyResult, error) {
-	path, release, err := stream.RetainSpill()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	out := make([]TLBOnlyResult, len(policies))
-	errs := make([]error, len(policies))
-	runPolicies(workers, len(policies), func(j int) {
-		fs, err := trace.OpenFile(path)
-		if err != nil {
-			errs[j] = fmt.Errorf("sim: opening spilled stream: %w", err)
-			return
-		}
-		out[j], errs[j] = RunTLBOnly(fs, policies[j], cfg)
-		fs.Close()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // RunMulti measures one workload under every policy in factories,
 // sharing a single trace traversal when spec.Cache enables the
 // capture/replay path (capture once, then one fused ReplayMulti pass).
-// Without a cache it falls back to one direct run per policy — the
-// bit-identical but unfused shape. spec.Policy is ignored; factories
-// drives the fan-out. Results are ordered like factories.
+// Without a cache — or when the capture is over the cache's budget —
+// it runs RunTLBOnly once per policy over a fresh source, which is
+// bit-identical but unfused; so do branch observers ReplayMulti cannot
+// feed. spec.Policy is ignored; factories drives the fan-out. Results
+// are ordered like factories.
 func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]TLBOnlyResult, error) {
 	if len(factories) == 0 {
 		return nil, errors.New("sim: RunMulti needs at least one policy")
@@ -383,19 +366,42 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ps := make([]tlb.Policy, len(factories))
+	for i, f := range factories {
+		ps[i] = f()
+	}
+	out := make([]TLBOnlyResult, len(ps))
+	replayed := make([]bool, len(ps))
 	if spec.Cache != nil {
 		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
-		if err != nil {
+		switch {
+		case errors.Is(err, l2stream.ErrOverBudget):
+			// Too big to hold: every policy runs direct.
+		case err != nil:
 			return nil, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
+		default:
+			var fed []tlb.Policy
+			var idx []int
+			for i, p := range ps {
+				if replayable(p) {
+					fed, idx = append(fed, p), append(idx, i)
+				}
+			}
+			if len(fed) > 0 {
+				rs, err := ReplayMulti(stream, fed, spec.Config)
+				if err != nil {
+					return nil, err
+				}
+				for k, i := range idx {
+					out[i], replayed[i] = rs[k], true
+				}
+			}
 		}
-		ps := make([]tlb.Policy, len(factories))
-		for i, f := range factories {
-			ps[i] = f()
-		}
-		return ReplayMulti(stream, ps, spec.Config)
 	}
-	out := make([]TLBOnlyResult, len(factories))
-	for i, f := range factories {
+	for i, p := range ps {
+		if replayed[i] {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -403,8 +409,7 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 		if err != nil {
 			return nil, err
 		}
-		out[i], err = RunTLBOnly(src, f(), spec.Config)
-		if err != nil {
+		if out[i], err = RunTLBOnly(src, p, spec.Config); err != nil {
 			return nil, err
 		}
 	}

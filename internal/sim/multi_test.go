@@ -5,18 +5,17 @@ import (
 	"testing"
 
 	"github.com/chirplab/chirp/internal/l2stream"
-	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
 )
 
-// TestReplayMultiEquivalence is the fused kernel's correctness gate:
-// one ReplayMulti pass over every registered policy at once must
-// reproduce each policy's solo ReplayTLBOnly result bit for bit —
-// across workload categories, with and without prefetching. The
-// policy list deliberately interleaves branch observers (ghrp, chirp)
-// with non-observers, so both view groups and the result re-ordering
-// are exercised.
+// TestReplayMultiEquivalence is the replay engine's correctness gate:
+// one ReplayMulti pass over every registered policy must reproduce
+// each policy's direct RunTLBOnly result bit for bit — across workload
+// categories, with and without prefetching, on a fresh capture and
+// again after a reload (stream and derived views) through a second
+// persistent cache on the same directory. The policy list interleaves
+// the signature-fed observers (ghrp, chirp) with plain policies.
 func TestReplayMultiEquivalence(t *testing.T) {
 	const instructions = 400000
 	names := PolicyNames()
@@ -24,77 +23,40 @@ func TestReplayMultiEquivalence(t *testing.T) {
 		cfg := DefaultTLBOnlyConfig(instructions)
 		cfg.PrefetchDistance = pd
 		for _, wname := range equivalenceWorkloads {
-			stream := captureFor(t, wname, cfg)
-			pols := make([]tlb.Policy, len(names))
-			for i, pname := range names {
-				pol, err := NewPolicy(pname)
+			want := directResults(t, wname, names, cfg)
+			dir := t.TempDir()
+			for _, pass := range []string{"fresh", "reloaded"} {
+				_, stream := persistentStreamFor(t, dir, wname, cfg)
+				fused, err := ReplayMulti(stream, newPolicies(t, names), cfg)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s pd=%d %s: %v", wname, pd, pass, err)
 				}
-				pols[i] = pol
-			}
-			fused, err := ReplayMulti(stream, pols, cfg)
-			if err != nil {
-				t.Fatalf("%s pd=%d fused: %v", wname, pd, err)
-			}
-			if len(fused) != len(names) {
-				t.Fatalf("%s pd=%d: fused returned %d results for %d policies", wname, pd, len(fused), len(names))
-			}
-			for i, pname := range names {
-				solo, err := NewPolicy(pname)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ReplayTLBOnly(stream, solo, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s solo replay: %v", wname, pname, err)
-				}
-				// TLBOnlyResult is all scalars, so == is field-by-field.
-				if fused[i] != want {
-					t.Errorf("%s/%s pd=%d: fused replay diverged\n solo:  %+v\n fused: %+v",
-						wname, pname, pd, want, fused[i])
+				for i, pname := range names {
+					// TLBOnlyResult is all scalars, so == is field-by-field.
+					if fused[i] != want[i] {
+						t.Errorf("%s/%s pd=%d %s: replay diverged\n direct: %+v\n replay: %+v",
+							wname, pname, pd, pass, want[i], fused[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestReplayMultiSpilledEquivalence: the spilled fallback (per-policy
-// direct runs over the retained record file) must also match solo
-// replays, and the spill file must survive a concurrent-style Close.
-func TestReplayMultiSpilledEquivalence(t *testing.T) {
-	cfg := DefaultTLBOnlyConfig(200000)
-	cfg.PrefetchDistance = 2
-	w := workloads.ByName("db-003")
-	src := trace.NewLimit(w.Source(), cfg.Instructions)
-	stream, err := l2stream.Capture(src, CaptureConfig(cfg),
-		l2stream.CaptureOptions{MaxBytes: 1024, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
-	defer stream.Close()
-	if !stream.Spilled() {
-		t.Fatal("1 KiB budget must force a spill")
-	}
-	names := []string{"lru", "chirp", "ghrp"}
-	pols := make([]tlb.Policy, len(names))
-	for i, n := range names {
-		pols[i], _ = NewPolicy(n)
-	}
-	fused, err := ReplayMulti(stream, pols, cfg)
-	if err != nil {
-		t.Fatalf("fused spilled replay: %v", err)
-	}
-	for i, n := range names {
-		solo, _ := NewPolicy(n)
-		want, err := ReplayTLBOnly(stream, solo, cfg)
+// directResults runs each named policy over the workload with the
+// reference driver.
+func directResults(t *testing.T, wname string, names []string, cfg TLBOnlyConfig) []TLBOnlyResult {
+	t.Helper()
+	w := workloads.ByName(wname)
+	out := make([]TLBOnlyResult, len(names))
+	for i, p := range newPolicies(t, names) {
+		var err error
+		out[i], err = RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), p, cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if fused[i] != want {
-			t.Errorf("%s: fused spilled replay diverged\n solo:  %+v\n fused: %+v", n, want, fused[i])
+			t.Fatalf("%s/%s direct: %v", wname, names[i], err)
 		}
 	}
+	return out
 }
 
 // TestRunMultiMatchesRun: the fused entry point must agree with N
@@ -117,7 +79,7 @@ func TestRunMultiMatchesRun(t *testing.T) {
 	for _, withCache := range []bool{true, false} {
 		var cache *l2stream.Cache
 		if withCache {
-			cache = l2stream.NewCache(0, t.TempDir())
+			cache = l2stream.NewCache(0)
 			defer cache.Close()
 		}
 		fused, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
@@ -129,7 +91,7 @@ func TestRunMultiMatchesRun(t *testing.T) {
 			// the fused run while staying on the same path.
 			var soloCache *l2stream.Cache
 			if withCache {
-				soloCache = l2stream.NewCache(0, t.TempDir())
+				soloCache = l2stream.NewCache(0)
 				defer soloCache.Close()
 			}
 			want, err := Run(ctx, RunSpec{Workload: w, Policy: f, Config: cfg, Cache: soloCache})

@@ -34,6 +34,9 @@ func CaptureKey(workload, spec string, cfg TLBOnlyConfig) l2stream.Key {
 // StreamFor returns the captured stream for a workload from cache,
 // capturing it on first use. open must return a fresh bounded source
 // for the workload (it is only called when the capture actually runs).
+// A stream over the cache's byte budget fails with an error matching
+// l2stream.ErrOverBudget; callers then run RunTLBOnly over a fresh
+// source, as Run and RunMulti do.
 func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, open func() (trace.Source, error)) (*l2stream.Stream, error) {
 	return cache.GetOrCapture(CaptureKey(workload, spec, cfg), func(opts l2stream.CaptureOptions) (*l2stream.Stream, error) {
 		src, err := open()
@@ -44,76 +47,9 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 	})
 }
 
-// ReplayTLBOnly drives the L2 TLB under l2p over a captured stream,
-// producing a TLBOnlyResult bit-identical to RunTLBOnly over the same
-// trace and configuration: the event sequence reproduces every L2
-// lookup, insert, prefetch-train and branch callback in order, and the
-// policy-invariant scalars (instruction totals, warmup position, L1
-// miss counts) come from the capture. Spilled streams replay as a
-// direct run over the spill file, which holds exactly the record
-// prefix RunTLBOnly would consume.
-func ReplayTLBOnly(stream *l2stream.Stream, l2p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
-	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
-		return TLBOnlyResult{}, fmt.Errorf("sim: stream captured under %+v cannot replay %+v", got, want)
-	}
-	if stream.Spilled() {
-		// Hold a reference for the whole pass: a Cache.Close racing
-		// this replay defers the file's deletion until release runs.
-		path, release, err := stream.RetainSpill()
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		defer release()
-		fs, err := trace.OpenFile(path)
-		if err != nil {
-			return TLBOnlyResult{}, fmt.Errorf("sim: opening spilled stream: %w", err)
-		}
-		defer fs.Close()
-		return RunTLBOnly(fs, l2p, cfg)
-	}
-	if !stream.Warmed() {
-		// The same failure RunTLBOnly reports for a too-short trace.
-		return TLBOnlyResult{}, fmt.Errorf("sim: trace ended before warmup boundary (%d < %d instructions)", stream.Instructions(), stream.WarmupAt())
-	}
-
-	l2, err := tlb.New(cfg.Hierarchy.L2, l2p)
-	if err != nil {
-		return TLBOnlyResult{}, err
-	}
-	defer l2.Release()
-	bo, observesBranches := l2p.(tlb.BranchObserver)
-
-	var pf *stridePrefetcher
-	if cfg.PrefetchDistance > 0 {
-		pf = newStridePrefetcher(cfg.PrefetchDistance)
-	}
-
-	// One decode per stream, shared across the policy fan-out: the
-	// first replay materializes the event slice, the rest iterate it.
-	// Policies that do not observe branches replay the branch-free
-	// access view, so they never touch the branch events they would
-	// discard (both views are memoized single-flight on the stream).
-	var evs []l2stream.Event
-	var err2 error
-	if observesBranches {
-		evs, err2 = stream.DecodeAll()
-	} else {
-		evs, err2 = stream.DecodeAccesses()
-	}
-	if err2 != nil {
-		return TLBOnlyResult{}, err2
-	}
-	rs := &replayState{l2: l2, pf: pf, bo: bo}
-	warmStats := rs.replayEvents(evs)
-
-	l2.FlushAccounting()
-	publishRun(l2p, l2)
-	return replayResult(stream, l2p, l2, warmStats), nil
-}
-
 // replayResult assembles a replayed policy's result from its finished
-// L2 TLB and the stats latched at the warmup marker. Shared by the
-// solo and fused replay drivers so they agree field for field.
+// L2 TLB and the stats latched at the warmup marker, in the same field
+// order and arithmetic as RunTLBOnly.
 func replayResult(stream *l2stream.Stream, l2p tlb.Policy, l2 *tlb.TLB, warmStats tlb.Stats) TLBOnlyResult {
 	st := l2.Stats()
 	res := TLBOnlyResult{
@@ -137,88 +73,17 @@ func replayResult(stream *l2stream.Stream, l2p tlb.Policy, l2 *tlb.TLB, warmStat
 	return res
 }
 
-// replayState is the replay driver's inner-loop state. The event walk
-// is a method rather than inline code because it is //chirp:hotpath,
-// and the per-event Access structs live in the struct: they escape
-// into the policy interface calls, so a loop-local struct would
-// heap-allocate once per event.
-type replayState struct {
-	l2     *tlb.TLB
-	pf     *stridePrefetcher
-	bo     tlb.BranchObserver // nil when the policy ignores branches
-	a2, pa tlb.Access
-}
-
-// replayEvents drives the decoded event sequence through the L2 TLB
-// and returns the L2 stats latched at the warmup marker.
-//
-//chirp:hotpath
-func (r *replayState) replayEvents(evs []l2stream.Event) tlb.Stats {
-	var warmStats tlb.Stats
-	for i := range evs {
-		ev := &evs[i]
-		switch ev.Kind {
-		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			instr := ev.Kind == l2stream.EventInstrAccess
-			r.a2 = tlb.Access{PC: ev.PC, VPN: ev.VPN, Instr: instr}
-			if _, hit := r.l2.Lookup(&r.a2); !hit {
-				r.l2.Insert(&r.a2, ev.VPN)
-			}
-			if r.pf != nil {
-				// Same contract as RunTLBOnly: train on the full demand
-				// stream, fill through InsertPrefetch.
-				for _, pv := range r.pf.observe(ev.PC, ev.VPN) {
-					if r.l2.Contains(pv) {
-						continue
-					}
-					r.pa = tlb.Access{PC: ev.PC, VPN: pv, Instr: instr}
-					r.l2.InsertPrefetch(&r.pa, pv)
-				}
-			}
-		case l2stream.EventBranch:
-			if r.bo != nil {
-				r.bo.OnBranch(ev.PC, ev.Conditional, ev.Indirect, ev.Taken, ev.Target)
-			}
-		case l2stream.EventWarmup:
-			warmStats = r.l2.Stats()
-		}
-	}
-	return warmStats
-}
-
 // StreamVPNs extracts the L2 demand-access VPN sequence from a
 // captured stream — the input CollectL2Stream produces, without
-// re-running the generator and L1 filters. Spilled streams fall back
-// to CollectL2Stream over the spill file.
+// re-running the generator and L1 filters. It copies the vpn column of
+// the dense replay view, which the OPT oracle's own replay then shares.
 func StreamVPNs(stream *l2stream.Stream, cfg TLBOnlyConfig) ([]uint64, error) {
 	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
 		return nil, fmt.Errorf("sim: stream captured under %+v cannot serve %+v", got, want)
 	}
-	if stream.Spilled() {
-		path, release, err := stream.RetainSpill()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		fs, err := trace.OpenFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("sim: opening spilled stream: %w", err)
-		}
-		defer fs.Close()
-		return CollectL2Stream(fs, cfg)
-	}
-	// The branch-free view is exactly the access sequence (plus the
-	// warmup marker), and it is the memo the OPT oracle's policy-side
-	// replays share.
-	evs, err := stream.DecodeAccesses()
+	rv, err := replayViewFor(stream, cfg)
 	if err != nil {
 		return nil, err
 	}
-	vpns := make([]uint64, 0, stream.Accesses())
-	for i := range evs {
-		if k := evs[i].Kind; k == l2stream.EventInstrAccess || k == l2stream.EventDataAccess {
-			vpns = append(vpns, evs[i].VPN)
-		}
-	}
-	return vpns, nil
+	return append([]uint64(nil), rv.vpn...), nil
 }

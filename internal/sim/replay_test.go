@@ -2,11 +2,14 @@ package sim
 
 import (
 	"context"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/obs"
+	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
 )
@@ -31,53 +34,60 @@ func captureFor(t *testing.T, name string, cfg TLBOnlyConfig) *l2stream.Stream {
 	return stream
 }
 
-// TestReplayEquivalence is the tentpole's correctness gate: for every
-// registered policy, on workloads from several categories, with and
-// without prefetching, ReplayTLBOnly must reproduce RunTLBOnly's
-// TLBOnlyResult bit for bit — including the table-accounting fields.
+// TestReplayEquivalence: each policy replayed alone (the shape Run's
+// cache path takes) must equal its row of one fused ReplayMulti pass
+// over the same stream, on workloads from several categories, with
+// and without prefetching — policies share only read-only views.
 func TestReplayEquivalence(t *testing.T) {
 	const instructions = 400000
+	names := PolicyNames()
 	for _, pd := range []int{0, 4} {
 		cfg := DefaultTLBOnlyConfig(instructions)
 		cfg.PrefetchDistance = pd
 		for _, wname := range equivalenceWorkloads {
 			stream := captureFor(t, wname, cfg)
-			for _, pname := range PolicyNames() {
-				w := workloads.ByName(wname)
-				pol, err := NewPolicy(pname)
+			fused, err := ReplayMulti(stream, newPolicies(t, names), cfg)
+			if err != nil {
+				t.Fatalf("%s pd=%d fused: %v", wname, pd, err)
+			}
+			for i, pname := range names {
+				solo, err := ReplayMulti(stream, newPolicies(t, []string{pname}), cfg)
 				if err != nil {
-					t.Fatal(err)
-				}
-				direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), pol, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s direct: %v", wname, pname, err)
-				}
-				pol2, _ := NewPolicy(pname)
-				replayed, err := ReplayTLBOnly(stream, pol2, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s replay: %v", wname, pname, err)
+					t.Fatalf("%s/%s solo replay: %v", wname, pname, err)
 				}
 				// TLBOnlyResult is all scalars, so == is field-by-field.
-				if replayed != direct {
-					t.Errorf("%s/%s pd=%d: replay diverged\n direct: %+v\n replay: %+v",
-						wname, pname, pd, direct, replayed)
+				if solo[0] != fused[i] {
+					t.Errorf("%s/%s pd=%d: solo replay diverged from fused\n fused: %+v\n solo:  %+v",
+						wname, pname, pd, fused[i], solo[0])
 				}
 			}
 		}
 	}
 }
 
+// newPolicies builds a fresh instance of each named policy.
+func newPolicies(t *testing.T, names []string) []tlb.Policy {
+	t.Helper()
+	pols := make([]tlb.Policy, len(names))
+	for i, n := range names {
+		pol, err := NewPolicy(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols[i] = pol
+	}
+	return pols
+}
+
 // TestPolicyParallelReplay replays one shared stream under every
 // registered policy from concurrent goroutines — the exact shape a
 // Workers>1 engine sweep produces — and checks each result against a
 // serial replay of the same pair. Under -race this also proves the
-// two decode memoizations (full and branch-free view) are safe to
-// materialize concurrently from both observer and non-observer
-// policies.
+// derived views are safe to materialize concurrently from plain and
+// signature-fed policies.
 func TestPolicyParallelReplay(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(300000)
 	stream := captureFor(t, "db-003", cfg)
-	defer stream.Close()
 
 	names := PolicyNames()
 	const rounds = 3 // several replays per policy race against each other too
@@ -97,63 +107,141 @@ func TestPolicyParallelReplay(t *testing.T) {
 				defer wg.Done()
 				pol, err := NewPolicy(name)
 				if err == nil {
-					results[idx].res, err = ReplayTLBOnly(stream, pol, cfg)
+					var rs []TLBOnlyResult
+					if rs, err = ReplayMulti(stream, []tlb.Policy{pol}, cfg); err == nil {
+						results[idx].res = rs[0]
+					}
 				}
 				results[idx].name, results[idx].err = name, err
 			}()
 		}
 	}
 	wg.Wait()
-	serial := map[string]TLBOnlyResult{}
-	for _, name := range names {
-		pol, err := NewPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[name], err = ReplayTLBOnly(stream, pol, cfg)
-		if err != nil {
-			t.Fatalf("%s serial replay: %v", name, err)
-		}
+	serial, err := ReplayMulti(stream, newPolicies(t, names), cfg)
+	if err != nil {
+		t.Fatalf("serial replay: %v", err)
 	}
-	for _, c := range results {
+	for i, c := range results {
 		if c.err != nil {
 			t.Errorf("%s parallel replay: %v", c.name, c.err)
 			continue
 		}
-		if c.res != serial[c.name] {
+		if want := serial[i%len(names)]; c.res != want {
 			t.Errorf("%s: parallel replay diverged from serial\n parallel: %+v\n serial:   %+v",
-				c.name, c.res, serial[c.name])
+				c.name, c.res, want)
 		}
 	}
 }
 
-func TestReplaySpilledEquivalence(t *testing.T) {
+// TestOverBudgetRunsDirect: a workload whose capture passes the
+// cache's byte budget runs on the direct path — Run and RunMulti still
+// equal RunTLBOnly field for field, the cache attempts the capture
+// once per key however often it is asked, and nothing reaches the
+// persistent store.
+func TestOverBudgetRunsDirect(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(200000)
 	cfg.PrefetchDistance = 2
 	w := workloads.ByName("db-003")
-	src := trace.NewLimit(w.Source(), cfg.Instructions)
-	stream, err := l2stream.Capture(src, CaptureConfig(cfg),
-		l2stream.CaptureOptions{MaxBytes: 1024, SpillDir: t.TempDir()})
+	dir := t.TempDir()
+	cache, err := l2stream.NewPersistent(1024, dir)
 	if err != nil {
-		t.Fatalf("capture: %v", err)
+		t.Fatal(err)
 	}
-	defer stream.Close()
-	if !stream.Spilled() {
-		t.Fatal("1 KiB budget must force a spill")
+	defer cache.Close()
+	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	misses0 := misses.Value()
+
+	names := []string{"lru", "chirp", "ghrp"}
+	factories, err := Factories(names)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, pname := range []string{"lru", "chirp", "ghrp"} {
-		pol, _ := NewPolicy(pname)
-		direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), pol, cfg)
+	ctx := context.Background()
+	fs := make([]PolicyFactory, len(factories))
+	for i, f := range factories {
+		fs[i] = f.New
+	}
+	fused, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, fs)
+	if err != nil {
+		t.Fatalf("RunMulti over budget: %v", err)
+	}
+	for i, f := range factories {
+		direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), f.New(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pol2, _ := NewPolicy(pname)
-		replayed, err := ReplayTLBOnly(stream, pol2, cfg)
+		solo, err := Run(ctx, RunSpec{Workload: w, Policy: f.New, Config: cfg, Cache: cache})
 		if err != nil {
-			t.Fatalf("%s spilled replay: %v", pname, err)
+			t.Fatalf("%s Run over budget: %v", f.Name, err)
 		}
-		if replayed != direct {
-			t.Errorf("%s: spilled replay diverged\n direct: %+v\n replay: %+v", pname, direct, replayed)
+		if fused[i] != direct || solo != direct {
+			t.Errorf("%s: over-budget run diverged\n direct:   %+v\n RunMulti: %+v\n Run:      %+v",
+				f.Name, direct, fused[i], solo)
+		}
+	}
+	if d := misses.Value() - misses0; d != 1 {
+		t.Errorf("cache misses delta = %d, want 1 (one capture attempt for the key)", d)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("over-budget workload left %d files in the store", len(files))
+	}
+}
+
+// observingLRU is LRU plus a branch callback: a user-defined branch
+// observer outside the signature-fed families.
+type observingLRU struct {
+	tlb.Policy
+	branches int
+}
+
+func (p *observingLRU) OnBranch(uint64, bool, bool, bool, uint64) { p.branches++ }
+
+// TestUnfedObserverRunsDirect: ReplayMulti rejects a branch observer
+// it cannot feed signatures to, and Run/RunMulti send it down the
+// direct path instead, next to replayed policies in the same call.
+func TestUnfedObserverRunsDirect(t *testing.T) {
+	cfg := DefaultTLBOnlyConfig(150000)
+	w := workloads.ByName("web-001")
+	stream := captureFor(t, "web-001", cfg)
+	lru, _ := NewPolicy("lru")
+	if _, err := ReplayMulti(stream, []tlb.Policy{&observingLRU{Policy: lru}}, cfg); err == nil {
+		t.Fatal("ReplayMulti accepted a branch observer it cannot feed")
+	}
+
+	cache := l2stream.NewCache(0)
+	defer cache.Close()
+	var observers []*observingLRU
+	observer := func() tlb.Policy {
+		p, _ := NewPolicy("lru")
+		o := &observingLRU{Policy: p}
+		observers = append(observers, o)
+		return o
+	}
+	chirp := func() tlb.Policy { p, _ := NewPolicy("chirp"); return p }
+	ctx := context.Background()
+	got, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, []PolicyFactory{chirp, observer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Run(ctx, RunSpec{Workload: w, Policy: observer, Config: cfg, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []PolicyFactory{chirp, observer} {
+		want, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), f(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("RunMulti row %d diverged\n direct: %+v\n got:    %+v", i, want, got[i])
+		}
+		if i == 1 && solo != want {
+			t.Errorf("Run diverged\n direct: %+v\n got:    %+v", want, solo)
+		}
+	}
+	for i, o := range observers[:2] {
+		if o.branches == 0 {
+			t.Errorf("observer %d saw no branches; it was not run directly", i)
 		}
 	}
 }
@@ -163,16 +251,14 @@ func TestReplayRejectsConfigMismatch(t *testing.T) {
 	stream := captureFor(t, "spec-000", cfg)
 	other := cfg
 	other.Instructions = 60000
-	pol, _ := NewPolicy("lru")
-	if _, err := ReplayTLBOnly(stream, pol, other); err == nil {
+	if _, err := ReplayMulti(stream, newPolicies(t, []string{"lru"}), other); err == nil {
 		t.Error("replay must reject a mismatched instruction budget")
 	}
 	// L2 geometry (beyond the page size) is policy-local: changing it
 	// must NOT invalidate the stream.
 	geom := cfg
 	geom.Hierarchy.L2.Entries = 512
-	pol2, _ := NewPolicy("lru")
-	if _, err := ReplayTLBOnly(stream, pol2, geom); err != nil {
+	if _, err := ReplayMulti(stream, newPolicies(t, []string{"lru"}), geom); err != nil {
 		t.Errorf("replay must accept a different L2 geometry: %v", err)
 	}
 }
@@ -191,8 +277,7 @@ func TestReplayUnwarmedMatchesRunError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	pol2, _ := NewPolicy("lru")
-	_, replayErr := ReplayTLBOnly(stream, pol2, cfg)
+	_, replayErr := ReplayMulti(stream, newPolicies(t, []string{"lru"}), cfg)
 	if replayErr == nil {
 		t.Fatal("replay must fail before warmup")
 	}
@@ -227,7 +312,7 @@ func TestStreamVPNsMatchesCollect(t *testing.T) {
 }
 
 func TestSuiteUsesSharedStreamCache(t *testing.T) {
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 	ws := []*workloads.Workload{workloads.ByName("spec-000"), workloads.ByName("db-001")}
 	pols, err := Factories([]string{"lru", "srrip"})

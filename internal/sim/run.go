@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/trace"
@@ -103,10 +102,12 @@ func (s *RunSpec) validateTrace() error {
 // Run is the one TLB-only entry point: it measures spec.Policy over
 // spec's trace under spec.Config, choosing the capture/replay path when
 // spec.Cache is set and the direct path otherwise — the two are
-// bit-identical, so callers pick purely on cost. The context gates the
-// start of the run (simulations are CPU-bound and finish in bounded
-// time once started); suite drivers check it between jobs via the
-// engine.
+// bit-identical, so callers pick purely on cost. It is RunMulti over
+// one policy, so it shares RunMulti's fallbacks to the direct path
+// (over-budget captures, branch observers ReplayMulti cannot feed).
+// The context gates the start of the run (simulations are CPU-bound
+// and finish in bounded time once started); suite drivers check it
+// between jobs via the engine.
 //
 // On success the run's TLB and predictor counters are published to the
 // default obs registry (see PublishMetrics on tlb.TLB and the policy
@@ -115,19 +116,9 @@ func Run(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
 	if err := spec.validate(); err != nil {
 		return TLBOnlyResult{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return TLBOnlyResult{}, err
-	}
-	if spec.Cache != nil {
-		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
-		if err != nil {
-			return TLBOnlyResult{}, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
-		}
-		return ReplayTLBOnly(stream, spec.Policy(), spec.Config)
-	}
-	src, err := spec.open()
+	rs, err := RunMulti(ctx, spec, []PolicyFactory{spec.Policy})
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
-	return RunTLBOnly(src, spec.Policy(), spec.Config)
+	return rs[0], nil
 }

@@ -87,7 +87,7 @@ func suiteJobs[T any](ws []*workloads.Workload, pols []NamedFactory, scope strin
 func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	cache := opts.StreamCache
 	if cache == nil && opts.StreamBudget >= 0 {
-		cache = l2stream.NewCache(opts.StreamBudget, "")
+		cache = l2stream.NewCache(opts.StreamBudget)
 		defer cache.Close()
 	}
 	if cache != nil {
@@ -109,7 +109,7 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // runSuiteFused is the capture/replay suite path: one engine job per
 // workload captures (or reuses) the stream and replays every policy in
 // a single fused pass (ReplayMulti), instead of len(pols) jobs that
-// each re-walk the decoded view. Results keep the workload-major,
+// each re-walk the derived views. Results keep the workload-major,
 // policy-minor order the per-cell path guarantees, and a failed
 // workload still leaves its policy rows in place (zero-valued) so
 // callers indexing cell (i, j) stay correct.
@@ -216,18 +216,6 @@ func protectCell(ctx context.Context, w *workloads.Workload, p NamedFactory, cfg
 	return Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
 }
 
-// RunSuiteTLBOnly is RunSuiteTLBOnlyCtx without cancellation,
-// telemetry or checkpointing.
-//
-// Deprecated: use RunSuiteTLBOnlyCtx (or Run for a single cell). This
-// wrapper exists for source compatibility with pre-engine callers and
-// will not grow new options.
-//
-//chirp:allow ctx-first deprecated pre-engine wrapper; its signature cannot grow a ctx
-func RunSuiteTLBOnly(ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, workers int) ([]SuiteResult, error) {
-	return RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: workers})
-}
-
 // RunSuiteTimingCtx measures each workload under each policy with the
 // full timing model, with the same engine semantics as
 // RunSuiteTLBOnlyCtx.
@@ -246,15 +234,4 @@ func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []Nam
 		return TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}, nil
 	})
 	return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
-}
-
-// RunSuiteTiming is RunSuiteTimingCtx without cancellation, telemetry
-// or checkpointing.
-//
-// Deprecated: use RunSuiteTimingCtx. This wrapper exists for source
-// compatibility with pre-engine callers and will not grow new options.
-//
-//chirp:allow ctx-first deprecated pre-engine wrapper; its signature cannot grow a ctx
-func RunSuiteTiming(ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, workers int) ([]TimingResult, error) {
-	return RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: workers})
 }

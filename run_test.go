@@ -44,7 +44,7 @@ func TestRunThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewStreamCache(0, t.TempDir())
+	cache := NewStreamCache(0)
 	defer cache.Close()
 
 	before := Metrics().Snapshot()
