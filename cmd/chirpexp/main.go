@@ -46,8 +46,8 @@ func run() int {
 	penalty := flag.Uint64("penalty", 150, "L2 TLB miss penalty in cycles for timing experiments")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB, shared across the selected experiments (0 = 96 MiB default, negative = per-experiment caches only)")
-	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived views) are evicted to stay under it (0 = unbounded)")
+	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here with their derived views, one content-addressed file per capture, and reused by later runs in any process sharing the directory")
+	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used store files (one per capture, holding its derived views; files of older codec versions count too) are evicted to stay under it (0 = unbounded)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file: completed (workload, policy) runs are restored from it and new ones appended, so a killed sweep resumes where it stopped")
 	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
 	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")

@@ -56,8 +56,8 @@ func run() int {
 	describe := flag.Bool("describe", false, "print the workload's program model as JSON and exit")
 	workers := flag.Int("workers", 0, "parallel policy runs (0 = GOMAXPROCS)")
 	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB for TLB-only runs: the trace is generated and L1-filtered once and replayed per policy (0 = 96 MiB default, negative = disable capture/replay)")
-	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived views) are evicted to stay under it (0 = unbounded)")
+	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here with their derived views, one content-addressed file per capture, and reused by later runs in any process sharing the directory")
+	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used store files (one per capture, holding its derived views; files of older codec versions count too) are evicted to stay under it (0 = unbounded)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file; completed policies are restored, not re-run")
 	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
 	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")

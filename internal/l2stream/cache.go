@@ -31,7 +31,7 @@ var (
 	obsCacheDiskHits = obs.Default.Counter("chirp_l2stream_cache_disk_hits_total",
 		"GetOrCapture calls served by loading a persisted capture from the capture directory.")
 	obsCacheDiskWrites = obs.Default.Counter("chirp_l2stream_cache_disk_writes_total",
-		"Captures persisted to the capture directory.")
+		"Store files written to the capture directory (a capture with its derived views; a rewrite that adds views counts again).")
 	obsCacheDiskErrors = obs.Default.Counter("chirp_l2stream_cache_disk_errors_total",
 		"Failed persistent-store reads or writes (the run continues on the in-memory tier).")
 	obsCacheEvictions = obs.Default.Counter("chirp_l2stream_cache_evictions_total",
@@ -43,17 +43,25 @@ var (
 	obsCacheStreams = obs.Default.Gauge("chirp_l2stream_cache_streams",
 		"Captured streams currently resident in stream caches.")
 	obsDerivedBuilds = obs.Default.Counter("chirp_l2stream_derived_builds_total",
-		"Derived views computed from stream events (.l2d file absent or not persisted).")
+		"Derived views computed from stream events (no usable store section).")
 	obsDerivedDiskHits = obs.Default.Counter("chirp_l2stream_derived_disk_hits_total",
-		"Derived views loaded from persisted .l2d files instead of being recomputed.")
+		"Derived views decoded from store-file sections instead of being recomputed.")
 	obsDerivedDiskWrites = obs.Default.Counter("chirp_l2stream_derived_disk_writes_total",
-		"Derived views persisted to the capture directory as .l2d files.")
+		"Derived views persisted to the capture directory as store-file sections.")
 	obsDerivedCorrupt = obs.Default.Counter("chirp_l2stream_derived_corrupt_total",
-		"Derived-view files rejected as corrupt, truncated, or stale (the view is recomputed).")
+		"Derived-view sections rejected as corrupt or stale (the view is recomputed).")
 	obsStoreEvictions = obs.Default.Counter("chirp_l2stream_store_evictions_total",
-		"Capture groups (stream plus derived views) evicted from persistent capture directories by the size-budget GC.")
+		"Store files (a capture with its derived views) evicted from persistent capture directories by the size-budget GC.")
 	obsStoreBytes = obs.Default.Gauge("chirp_l2stream_store_bytes",
 		"Bytes currently held in persistent capture directories, as of the last GC scan.")
+
+	// Phase timers: one observation per Derive that materializes views,
+	// per store file written and per store file read; never per event.
+	obsPhaseSeconds = obs.Default.HistogramVec("chirp_phase_seconds",
+		"Wall time of each pipeline phase, one observation per phase boundary.", "phase", obs.DurationBuckets())
+	obsPhaseDerive     = obsPhaseSeconds.With("derive")
+	obsPhaseStoreWrite = obsPhaseSeconds.With("store_write")
+	obsPhaseStoreRead  = obsPhaseSeconds.With("store_read")
 )
 
 // DefaultBudget is the cache's default in-memory byte budget: large
@@ -134,10 +142,12 @@ func NewCache(budget int64) *Cache {
 }
 
 // NewPersistent returns a cache backed by a persistent capture
-// directory: every capture is also written there (content-addressed
-// by key fingerprint + codec version, staged and atomically renamed),
-// and GetOrCapture consults the directory before capturing, so sweeps
-// across processes reuse captures instead of re-capturing.
+// directory: every capture is also written there, with its derived
+// views, by the stream's first Derive (one file per capture,
+// content-addressed by key fingerprint + codec version, staged and
+// atomically renamed), and GetOrCapture consults the directory before
+// capturing, so sweeps across processes reuse captures and views
+// instead of recomputing them.
 func NewPersistent(budget int64, captureDir string) (*Cache, error) {
 	st, err := newStore(captureDir)
 	if err != nil {
@@ -235,11 +245,8 @@ func (c *Cache) runCapture(key Key, e *cacheEntry, capture func(CaptureOptions) 
 		return nil, err
 	}
 	if c.store != nil {
-		if serr := c.store.save(key, s); serr != nil {
-			obsCacheDiskErrors.Inc()
-		} else {
-			obsCacheDiskWrites.Inc()
-		}
+		// Written by the stream's first Derive, together with its views.
+		s.file = &storeFile{st: c.store, key: key}
 	}
 	c.commit(key, e, s)
 	return s, nil
@@ -254,7 +261,7 @@ func (c *Cache) commit(key Key, e *cacheEntry, s *Stream) {
 	// loads them); the hook folds their bytes into this entry so the
 	// budget keeps holding. Installed under c.mu, before any other
 	// goroutine can observe the entry as ready.
-	s.SetGrowthHook(func(delta int64) { c.growStream(key, s, delta) })
+	s.onGrow = func(delta int64) { c.growStream(key, s, delta) }
 	e.stream = s
 	e.ready = true
 	e.bytes = s.FootprintBytes()
@@ -287,10 +294,11 @@ func (c *Cache) growStream(key Key, s *Stream, delta int64) {
 }
 
 // SetStoreMaxBytes bounds the persistent capture directory's total
-// size: after every store write, least-recently-used capture groups
-// (the .l2s stream plus its .l2d derived views) are evicted
-// oldest-mtime-first until the directory fits. Zero or
-// negative means unbounded. No-op on caches without a persistent tier.
+// size: after every store write, least-recently-used store files (a
+// capture with its derived views) are evicted oldest-mtime-first until
+// the directory fits. Files left by older codec versions count too and
+// are evicted the same way. Zero or negative means unbounded. No-op on
+// caches without a persistent tier.
 func (c *Cache) SetStoreMaxBytes(maxBytes int64) {
 	if c.store != nil {
 		c.store.setLimit(maxBytes)

@@ -213,6 +213,7 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	persist(t, seed)
 	if err := big.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package l2stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -19,13 +20,11 @@ import (
 func eventCountSpec(key string, builds *atomic.Int64) *DerivedSpec {
 	return &DerivedSpec{
 		Key: key,
-		Build: func(s *Stream) (any, error) {
+		Build: func(*Stream) DerivedBuilder {
 			if builds != nil {
 				builds.Add(1)
 			}
-			var n uint64
-			err := s.EachBlock(func(evs []Event) { n += uint64(len(evs)) })
-			return n, err
+			return &countBuilder{}
 		},
 		Bytes:  func(any) int64 { return 8 },
 		Encode: func(v any) []byte { return binary.LittleEndian.AppendUint64(nil, v.(uint64)) },
@@ -35,6 +34,44 @@ func eventCountSpec(key string, builds *atomic.Int64) *DerivedSpec {
 			}
 			return binary.LittleEndian.Uint64(data), true
 		},
+	}
+}
+
+type countBuilder struct{ n uint64 }
+
+func (b *countBuilder) Feed(evs []Event) { b.n += uint64(len(evs)) }
+func (b *countBuilder) Finish() any      { return b.n }
+
+// bytesSpec is a derived-view family whose view is a byte string
+// folded over the events, persisted verbatim.
+func bytesSpec(key string, fold func(out []byte, ev *Event) []byte) *DerivedSpec {
+	return &DerivedSpec{
+		Key:    key,
+		Build:  func(*Stream) DerivedBuilder { return &foldBuilder{fold: fold} },
+		Bytes:  func(v any) int64 { return int64(len(v.([]byte))) },
+		Encode: func(v any) []byte { return v.([]byte) },
+		Decode: func(_ *Stream, data []byte) (any, bool) { return bytes.Clone(data), true },
+	}
+}
+
+type foldBuilder struct {
+	fold func([]byte, *Event) []byte
+	out  []byte
+}
+
+func (b *foldBuilder) Feed(evs []Event) {
+	for i := range evs {
+		b.out = b.fold(b.out, &evs[i])
+	}
+}
+func (b *foldBuilder) Finish() any { return b.out }
+
+// persist writes a store-backed stream's file the way a replay does:
+// through a Derive (here of one small view).
+func persist(t *testing.T, s *Stream) {
+	t.Helper()
+	if _, err := s.Derived(eventCountSpec("test:persist", nil)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -92,15 +129,14 @@ func TestDerivedSingleFlight(t *testing.T) {
 	if n := builds.Load(); n != 2 {
 		t.Errorf("distinct key reused the memo (%d builds, want 2)", n)
 	}
-	keys := s.DerivedKeys()
-	if len(keys) != 2 {
-		t.Errorf("DerivedKeys = %v, want 2 entries", keys)
+	if len(s.derived) != 2 {
+		t.Errorf("stream holds %d views, want 2", len(s.derived))
 	}
 }
 
 // TestDerivedSidecarRoundTrip: a derived view built on a persistent
-// stream writes a sidecar; a second cache on the same directory serves
-// the view from disk without rebuilding.
+// stream is written as a section of the stream's file; a second cache
+// on the same directory serves the view from disk without rebuilding.
 func TestDerivedSidecarRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentStreamFor(t, dir, "w", 4000)
@@ -134,36 +170,37 @@ func TestDerivedSidecarRoundTrip(t *testing.T) {
 	}
 }
 
-// derivedFiles lists the .l2d sidecar paths in dir.
-func derivedFiles(t *testing.T, dir string) []string {
+// storeFileOf returns the path of the one store file in dir.
+func storeFileOf(t *testing.T, dir string) string {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".l2d") {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
+	if len(files) != 1 || !strings.HasSuffix(files[0], ".l2s") {
+		t.Fatalf("store holds %v, want one .l2s file", files)
 	}
-	return out
+	return files[0]
 }
 
-// TestDerivedSidecarCorruptionRebuilds: flipping payload bytes,
-// truncating the file, or emptying it must each read as absent — the
-// view rebuilds from the stream and the sidecar is rewritten.
+// TestDerivedSidecarCorruptionRebuilds: damage to a view's section
+// payload drops only that view — the stream still loads, the view
+// rebuilds and the file is rewritten — while damage to the header,
+// table or length (a flipped key byte, truncation, an empty file, bad
+// magic or version) rejects the whole file, so the stream recaptures
+// and its views rebuild. Either way the next cache loads cleanly.
 func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 	corruptions := []struct {
-		name string
-		mut  func([]byte) []byte
+		name  string
+		whole bool // the damage rejects the file, not one section
+		mut   func(b []byte, payload [2]int) []byte
 	}{
-		{"flip-payload-byte", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }},
-		{"flip-key-byte", func(b []byte) []byte { b[20] ^= 0xff; return b }},
-		{"truncate", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"empty", func([]byte) []byte { return nil }},
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }},
-		{"bad-version", func(b []byte) []byte { b[4]++; return b }},
+		{"flip-payload-byte", false, func(b []byte, p [2]int) []byte { b[p[1]-1] ^= 0xff; return b }},
+		{"flip-key-byte", true, func(b []byte, _ [2]int) []byte { b[storeHeaderSize+3] ^= 0xff; return b }},
+		{"truncate", true, func(b []byte, p [2]int) []byte { return b[:p[0]+4] }},
+		{"empty", true, func([]byte, [2]int) []byte { return nil }},
+		{"bad-magic", true, func(b []byte, _ [2]int) []byte { b[0] = 'X'; return b }},
+		{"bad-version", true, func(b []byte, _ [2]int) []byte { b[4]++; return b }},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,20 +211,17 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			files := derivedFiles(t, dir)
-			if len(files) != 1 {
-				t.Fatalf("found %d sidecars, want 1", len(files))
-			}
-			data, err := os.ReadFile(files[0])
+			path := storeFileOf(t, dir)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(files[0], tc.mut(data), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.mut(data, sectionSpans(data)["test:c"]), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
+			misses0, corrupt0 := obsCacheMisses.Value(), obsDerivedCorrupt.Value()
 			s2 := persistentStreamFor(t, dir, "w", 4000)
-			corrupt0 := obsDerivedCorrupt.Value()
 			got, err := s2.Derived(eventCountSpec("test:c", &builds))
 			if err != nil {
 				t.Fatal(err)
@@ -196,48 +230,65 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 				t.Errorf("rebuilt view %v, want %v", got, want)
 			}
 			if builds.Load() != 2 {
-				t.Errorf("corrupt sidecar served without rebuild (%d builds, want 2)", builds.Load())
+				t.Errorf("corrupt section served without rebuild (%d builds, want 2)", builds.Load())
 			}
-			if d := obsDerivedCorrupt.Value() - corrupt0; d != 1 {
-				t.Errorf("corruption counter delta = %d, want 1", d)
+			wantMisses, wantCorrupt := uint64(0), uint64(1)
+			if tc.whole {
+				wantMisses, wantCorrupt = 1, 0
 			}
-			// The rebuild rewrote the sidecar; a third stream loads clean.
+			if d := obsCacheMisses.Value() - misses0; d != wantMisses {
+				t.Errorf("captures delta = %d, want %d", d, wantMisses)
+			}
+			if d := obsDerivedCorrupt.Value() - corrupt0; d != wantCorrupt {
+				t.Errorf("corruption counter delta = %d, want %d", d, wantCorrupt)
+			}
+			// The rebuild rewrote the file; a third stream loads clean.
+			misses0 = obsCacheMisses.Value()
 			s3 := persistentStreamFor(t, dir, "w", 4000)
 			if got, err := s3.Derived(eventCountSpec("test:c", &builds)); err != nil || got != want {
-				t.Fatalf("rewritten sidecar load = %v, %v", got, err)
+				t.Fatalf("rewritten section load = %v, %v", got, err)
 			}
-			if builds.Load() != 2 {
-				t.Errorf("rewritten sidecar was not served from disk (%d builds)", builds.Load())
+			if builds.Load() != 2 || obsCacheMisses.Value() != misses0 {
+				t.Errorf("rewritten file was not served from disk (%d builds, %d captures)", builds.Load(), obsCacheMisses.Value()-misses0)
 			}
 		})
 	}
 }
 
-// TestDerivedSidecarKeyed: sidecar files are content-addressed by
-// derived key — distinct keys write distinct files, and a sidecar
-// echoing the wrong key (same hash path would be required, so simulate
-// by renaming) is rejected.
+// TestDerivedSidecarKeyed: views are keyed by derived key inside the
+// stream's one file — a second key adds a section with one rewrite and
+// keeps the first, and a key the file does not hold is built, never
+// served from another key's section.
 func TestDerivedSidecarKeyed(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentStreamFor(t, dir, "w", 4000)
+	writes0 := obsCacheDiskWrites.Value()
 	if _, err := s.Derived(eventCountSpec("test:k1", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Derived(eventCountSpec("test:k2", nil)); err != nil {
 		t.Fatal(err)
 	}
-	files := derivedFiles(t, dir)
-	if len(files) != 2 {
-		t.Fatalf("two keys wrote %d sidecars, want 2", len(files))
+	if d := obsCacheDiskWrites.Value() - writes0; d != 2 {
+		t.Errorf("disk writes delta = %d, want 2 (the first write, one rewrite)", d)
 	}
-	// A payload framed under one key must not decode under another:
-	// copy k1's file onto k2's path and verify the key echo rejects it.
-	data0, err := os.ReadFile(files[0])
+	data, err := os.ReadFile(storeFileOf(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := decodeDerivedFile(data0, "test:other"); ok {
-		t.Error("sidecar decoded under a mismatched key")
+	_, secs, ok := decodeStoreFile(data, Key{Workload: "w", Config: testConfig(4000)})
+	if !ok || len(secs) != 2 {
+		t.Fatalf("store file: ok=%v with %d sections, want 2", ok, len(secs))
+	}
+
+	var builds atomic.Int64
+	s2 := persistentStreamFor(t, dir, "w", 4000)
+	hits0 := obsDerivedDiskHits.Value()
+	if _, err := s2.Derive(eventCountSpec("test:k1", &builds), eventCountSpec("test:k2", &builds), eventCountSpec("test:other", &builds)); err != nil {
+		t.Fatal(err)
+	}
+	if d := obsDerivedDiskHits.Value() - hits0; d != 2 || builds.Load() != 1 {
+		t.Errorf("disk hits delta = %d with %d builds, want 2 hits and 1 build (test:other)", d, builds.Load())
 	}
 }
 
@@ -311,8 +362,8 @@ func TestDerivedGrowthAccounting(t *testing.T) {
 }
 
 // TestStoreGC: setting a byte budget on a persistent directory evicts
-// whole capture groups — stream file plus derived sidecars — oldest
-// first, until the directory fits, and leaves newer groups intact.
+// whole store files — a capture with its view sections — oldest first,
+// until the directory fits, and leaves newer files intact.
 func TestStoreGC(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewPersistent(0, dir)
@@ -321,8 +372,7 @@ func TestStoreGC(t *testing.T) {
 	}
 	defer cache.Close()
 	cfg := testConfig(5000)
-	var streams []*Stream
-	var metas []string
+	var paths []string
 	for _, w := range []string{"a", "b", "c"} {
 		s, err := cache.GetOrCapture(Key{Workload: w, Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
 			return Capture(trace.NewSliceSource(testRecords(3000)), cfg, opts)
@@ -333,49 +383,38 @@ func TestStoreGC(t *testing.T) {
 		if _, err := s.Derived(eventCountSpec("test:gc", nil)); err != nil {
 			t.Fatal(err)
 		}
-		streams = append(streams, s)
-		metas = append(metas, cache.store.path(Key{Workload: w, Config: cfg}))
+		paths = append(paths, cache.store.path(Key{Workload: w, Config: cfg}))
 	}
-	if got := len(derivedFiles(t, dir)); got != 3 {
-		t.Fatalf("expected 3 sidecars before GC, found %d", got)
-	}
-	// Age the groups deterministically: a oldest, c newest.
+	// Age the files deterministically: a oldest, c newest.
 	base := time.Now().Add(-time.Hour)
-	for i, meta := range metas {
+	var total int64
+	for i, p := range paths {
 		mt := base.Add(time.Duration(i) * time.Minute)
-		for _, p := range append(derivedFiles(t, dir), metas...) {
-			if strings.HasPrefix(p, strings.TrimSuffix(meta, ".l2s")) {
-				if err := os.Chtimes(p, mt, mt); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if err := os.Chtimes(p, mt, mt); err != nil {
+			t.Fatal(err)
 		}
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 3 {
+		t.Fatalf("three captures left %d files, want 3", len(files))
 	}
 
-	var total int64
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		info, _ := e.Info()
-		total += info.Size()
-	}
-	perGroup := total / 3
+	perFile := total / 3
 	evict0 := obsStoreEvictions.Value()
-	cache.SetStoreMaxBytes(total - perGroup/2) // forces out exactly one group
+	cache.SetStoreMaxBytes(total - perFile/2) // forces out exactly one file
 	if d := obsStoreEvictions.Value() - evict0; d != 1 {
 		t.Errorf("store evictions delta = %d, want 1", d)
 	}
-	if _, err := os.Stat(metas[0]); !os.IsNotExist(err) {
-		t.Errorf("oldest group's .l2s survived GC (err=%v)", err)
+	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
+		t.Errorf("oldest file survived GC (err=%v)", err)
 	}
-	for _, meta := range metas[1:] {
-		if _, err := os.Stat(meta); err != nil {
-			t.Errorf("newer group's .l2s was evicted: %v", err)
-		}
-	}
-	// The evicted group's sidecar went with it.
-	for _, p := range derivedFiles(t, dir) {
-		if strings.HasPrefix(p, strings.TrimSuffix(metas[0], ".l2s")) {
-			t.Errorf("evicted group left sidecar %s behind", p)
+	for _, p := range paths[1:] {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("newer file was evicted: %v", err)
 		}
 	}
 	// An unbounded budget never evicts.
@@ -383,5 +422,4 @@ func TestStoreGC(t *testing.T) {
 	if d := obsStoreEvictions.Value() - evict0; d != 1 {
 		t.Errorf("unbounded budget evicted (delta %d, want 1)", d)
 	}
-	_ = streams
 }

@@ -11,7 +11,7 @@ import (
 
 // TestRaceDerivedClose hammers the surfaces that cross goroutines in a
 // real sweep at the same time: derived-view memoization on a cached
-// stream (single-flight slot.once plus the growth-hook accounting
+// stream (single-flight slots plus the growth-hook accounting
 // callback into the cache) and Cache.Close tearing the cache down
 // underneath it, with an over-budget verdict in the map. It asserts no
 // outcome beyond the documented contracts — views stay correct and
@@ -40,12 +40,8 @@ func TestRaceDerivedClose(t *testing.T) {
 	specs := make([]*DerivedSpec, 4)
 	for i := range specs {
 		specs[i] = &DerivedSpec{
-			Key: fmt.Sprintf("racestress/v1/%d", i),
-			Build: func(s *Stream) (any, error) {
-				n := 0
-				err := s.EachBlock(func(evs []Event) { n += len(evs) })
-				return n, err
-			},
+			Key:   fmt.Sprintf("racestress/v1/%d", i),
+			Build: func(*Stream) DerivedBuilder { return &countBuilder{} },
 			Bytes: func(any) int64 { return 8 },
 		}
 	}
@@ -65,7 +61,7 @@ func TestRaceDerivedClose(t *testing.T) {
 					t.Errorf("Derived on a cached stream: %v", err)
 					return
 				}
-				if n := v.(int); n != wantEvents {
+				if n := int(v.(uint64)); n != wantEvents {
 					t.Errorf("derived view sees %d events, want %d", n, wantEvents)
 					return
 				}
@@ -89,7 +85,7 @@ func TestRaceDerivedClose(t *testing.T) {
 	// owns them, the cache only accounted them.
 	for _, spec := range specs {
 		v, err := inmem.Derived(spec)
-		if err != nil || v.(int) != wantEvents {
+		if err != nil || int(v.(uint64)) != wantEvents {
 			t.Errorf("derived view %q after close: %v, %v", spec.Key, v, err)
 		}
 	}

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,32 +19,51 @@ import (
 // It is folded into every persistent-store key, so bumping it after
 // an encoding change invalidates all previously persisted captures at
 // once — stale files are simply never addressed again. Version 3
-// dropped the fixed-width sidecar and the spill form: a .l2s file is
-// the header plus the varint buffer, checksummed.
-const CodecVersion = 3
+// dropped the fixed-width sidecar and the spill form; version 4 moved
+// the derived views from separate .l2d files into sections of the
+// stream's own file.
+const CodecVersion = 4
 
-// Store file format (".l2s"): a fixed 128-byte header, then the
-// stream's delta/varint event buffer verbatim. Loading is one
-// os.ReadFile; the buffer is the tail of that allocation (zero-copy).
+// Store file format (".l2s"): one file per capture, holding the stream
+// and every persisted derived view —
+//
+//	header    storeHeaderSize bytes
+//	table     per view section: key length (uint16), key, payload
+//	          length (uint64), payload CRC-32C (uint32)
+//	payloads  the sections' payloads, in table order
+//	body      the stream's delta/varint event buffer
+//
+// The body comes last, so header, table and views form a prefix that
+// can be read without it.
 //
 // Header layout (little-endian): magic [0:4], codec version [4:8], key
-// fingerprint [8:40], CRC-32C of everything after it [40:44], four
-// reserved zero bytes, then ten uint64s from offset 48 — records,
-// instructions, events, accesses, warmupAt, warmInstrAt, L1I misses,
-// L1D misses, warmed (0/1), buffer length.
+// fingerprint [8:40], CRC-32C of header[44:] plus the table [40:44],
+// CRC-32C of the body [44:48], then twelve uint64s from offset 48 —
+// records, instructions, events, accesses, warmupAt, warmInstrAt, L1I
+// misses, L1D misses, warmed (0/1), body length, table length, section
+// count. A damaged header, table or body rejects the whole file; a
+// damaged payload drops only its section.
 const (
 	storeMagic      = "CHL2"
-	storeHeaderSize = 128
 	storeCRCOffset  = 40
+	storeBodyCRC    = 44
 	storeU64Offset  = 48
+	storeHeaderSize = storeU64Offset + 8*12
+
+	hdrBodyLen, hdrTableLen, hdrSections = 9, 10, 11
 )
+
+// storeCRC is the checksum table for store files (Castagnoli, the
+// polynomial with hardware support on amd64 and arm64).
+var storeCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // store is the cache's persistent tier: a content-addressed directory
 // of captured streams, keyed by the capture key fingerprint (workload
 // name + policy-invariant config + codec version). Writers stage into
 // a temp file and atomically rename, so concurrent processes sharing
-// one directory either see a complete capture or none — the worst
-// race outcome is two processes capturing the same stream once each.
+// one directory either see a complete file or none — the worst race
+// outcome is two processes capturing (or building views for) the same
+// stream once each.
 type store struct {
 	dir string
 
@@ -99,362 +118,307 @@ func (st *store) path(key Key) string {
 	return filepath.Join(st.dir, fmt.Sprintf("chirp-%x.l2s", h[:12]))
 }
 
-// Derived-view file format (".l2d"): magic, the derived-format and
-// stream-codec versions, the full derived key string, then a
-// checksummed payload. The payload's meaning belongs to the
-// DerivedSpec that wrote it; the store only guarantees that what load
-// returns is byte-identical to what save was given, under the same
-// key, or nothing at all.
-const (
-	derivedMagic = "CHDV"
-	// DerivedFormatVersion identifies the .l2d container framing.
-	// Specs version their payloads separately, inside their keys.
-	// Version 2 replaced the payload's FNV-64a checksum with CRC-32C:
-	// warm sweeps checksum every view they load, and the
-	// hardware-assisted CRC took that from ~15% of a warm fig7
-	// iteration's profile to noise.
-	DerivedFormatVersion = 2
-)
-
-// derivedCRC is the checksum table for .l2d payloads and .l2s bodies
-// (Castagnoli, the polynomial with hardware support on amd64 and
-// arm64).
-var derivedCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// derivedPath returns the .l2d file path for a derived key: the
-// stream's content-addressed base plus a hash of the derived key.
-func (st *store) derivedPath(key Key, dkey string) string {
-	h := fnv.New64a()
-	h.Write([]byte(dkey))
-	return fmt.Sprintf("%s-d%016x.l2d", strings.TrimSuffix(st.path(key), ".l2s"), h.Sum64())
+// section is one persisted derived view: its derived key and payload.
+// A nil payload marks a section that failed its checksum.
+type section struct {
+	key     string
+	payload []byte
 }
 
-// attachDerived wires the stream's derived-view persistence hooks to
-// this store under key. Called once, while the stream is still private
-// to the loading/saving goroutine.
-func (st *store) attachDerived(s *Stream, key Key) {
-	s.dvLoad = func(dkey string) ([]byte, func()) { return st.loadDerived(key, dkey) }
-	s.dvSave = func(dkey string, payload []byte) {
-		if err := st.saveDerived(key, dkey, payload); err != nil {
-			obsCacheDiskErrors.Inc()
-		} else {
-			obsDerivedDiskWrites.Inc()
-		}
+// storeFile ties a stream to its file in a capture store. mu guards
+// pending and orders the stream's rewrites, so concurrent Derives on
+// one stream never drop each other's sections.
+type storeFile struct {
+	st  *store
+	key Key
+
+	mu sync.Mutex
+	// pending holds the sections load read, in the pooled buffer
+	// pendingBuf, until the first Derive takes them.
+	pending    []section
+	pendingBuf *[]byte
+}
+
+// fileBufs recycles the buffers store files are read into: the body
+// is copied out and the view sections are decoded and dropped, so the
+// buffer goes back once Derive is done with it, and a warm sweep does
+// not re-zero a fresh allocation per file.
+var fileBufs sync.Pool
+
+func releaseBuf(bp *[]byte) {
+	if bp != nil {
+		fileBufs.Put(bp)
 	}
 }
 
-// derivedBufs recycles whole-file read buffers across .l2d loads:
-// warm sweeps load a handful of views per stream, and re-zeroing a
-// fresh allocation for each was measurable next to the decode itself.
-var derivedBufs sync.Pool
-
-// loadDerived returns the persisted payload for (key, dkey) plus a
-// hook releasing the pooled buffer the payload aliases, or (nil, nil)
-// when the store holds nothing usable — missing reads as absent
-// silently; a present-but-invalid file counts as corruption and also
-// reads as absent, so the caller recomputes and atomically replaces
-// it.
-func (st *store) loadDerived(key Key, dkey string) ([]byte, func()) {
-	f, err := os.Open(st.derivedPath(key, dkey))
+// readFile reads key's file into a pooled buffer and validates it. It
+// returns the buffer (release it when done) with the stream and intact
+// sections aliasing it, or nil when the file is missing or unusable —
+// err is set only for a failure worth counting.
+func (st *store) readFile(key Key) (*[]byte, *Stream, []section, error) {
+	start := time.Now()
+	f, err := os.Open(st.path(key))
 	if err != nil {
-		if !os.IsNotExist(err) {
-			obsCacheDiskErrors.Inc()
+		if os.IsNotExist(err) {
+			err = nil
 		}
-		return nil, nil
+		return nil, nil, nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		obsCacheDiskErrors.Inc()
-		return nil, nil
+		return nil, nil, nil, err
 	}
-	size := int(fi.Size())
-	var data []byte
-	if bp, _ := derivedBufs.Get().(*[]byte); bp != nil && cap(*bp) >= size {
-		data = (*bp)[:size]
-	} else {
-		data = make([]byte, size)
+	bp, _ := fileBufs.Get().(*[]byte)
+	if bp == nil || cap(*bp) < int(fi.Size()) {
+		b := make([]byte, fi.Size())
+		bp = &b
 	}
-	release := func() { derivedBufs.Put(&data) }
+	data := (*bp)[:fi.Size()]
 	if _, err := io.ReadFull(f, data); err != nil {
-		obsCacheDiskErrors.Inc()
-		release()
-		return nil, nil
+		releaseBuf(bp)
+		return nil, nil, nil, err
 	}
-	payload, ok := decodeDerivedFile(data, dkey)
+	s, secs, ok := decodeStoreFile(data, key)
 	if !ok {
-		obsDerivedCorrupt.Inc()
-		release()
-		return nil, nil
+		releaseBuf(bp)
+		return nil, nil, nil, nil
 	}
-	return payload, release
+	obsPhaseStoreRead.Observe(time.Since(start).Seconds())
+	return bp, s, secs, nil
 }
 
-// decodeDerivedFile validates a .l2d file's framing against the
-// derived key and returns its payload. Split from loadDerived for
-// tests.
-func decodeDerivedFile(data []byte, dkey string) ([]byte, bool) {
-	if len(data) < 16 || string(data[:4]) != derivedMagic {
-		return nil, false
+// decodeStoreFile validates a store file against key and returns its
+// stream and sections; both alias data. A section that fails its
+// checksum comes back with a nil payload, so only that view is
+// rebuilt; a damaged header, table or body rejects the whole file. The
+// checksums cover the run scalars, the table, every payload and the
+// body, so a file it accepts is one write produced (short of a CRC-32C
+// collision) and decodes to its header's event and access counts.
+func decodeStoreFile(data []byte, key Key) (*Stream, []section, bool) {
+	want := fingerprint(key)
+	if len(data) < storeHeaderSize || string(data[:4]) != storeMagic ||
+		binary.LittleEndian.Uint32(data[4:8]) != CodecVersion ||
+		string(data[8:8+sha256.Size]) != string(want[:]) {
+		return nil, nil, false
 	}
-	if binary.LittleEndian.Uint32(data[4:8]) != DerivedFormatVersion ||
-		binary.LittleEndian.Uint32(data[8:12]) != CodecVersion {
-		return nil, false
+	var u [12]uint64
+	for i := range u {
+		u[i] = binary.LittleEndian.Uint64(data[storeU64Offset+8*i:])
 	}
-	keyLen := int(binary.LittleEndian.Uint32(data[12:16]))
-	if len(data) < 16+keyLen+16 {
-		return nil, false
+	rest := uint64(len(data) - storeHeaderSize)
+	if u[hdrTableLen] > rest || u[hdrBodyLen] > rest-u[hdrTableLen] || u[8] > 1 {
+		return nil, nil, false
 	}
-	if string(data[16:16+keyLen]) != dkey {
-		return nil, false
+	tableEnd := storeHeaderSize + u[hdrTableLen]
+	bodyStart := uint64(len(data)) - u[hdrBodyLen]
+	body := data[bodyStart:]
+	if binary.LittleEndian.Uint32(data[storeCRCOffset:]) != crc32.Checksum(data[storeCRCOffset+4:tableEnd], storeCRC) ||
+		binary.LittleEndian.Uint32(data[storeBodyCRC:]) != crc32.Checksum(body, storeCRC) {
+		return nil, nil, false
 	}
-	body := data[16+keyLen:]
-	payloadLen := binary.LittleEndian.Uint64(body[:8])
-	sum := binary.LittleEndian.Uint64(body[8:16])
-	payload := body[16:]
-	if uint64(len(payload)) != payloadLen {
-		return nil, false
-	}
-	if uint64(crc32.Checksum(payload, derivedCRC)) != sum {
-		return nil, false
-	}
-	return payload, true
-}
-
-// encodeDerivedFile frames a payload under its derived key.
-func encodeDerivedFile(dkey string, payload []byte) []byte {
-	out := make([]byte, 0, 16+len(dkey)+16+len(payload))
-	out = append(out, derivedMagic...)
-	out = binary.LittleEndian.AppendUint32(out, DerivedFormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, CodecVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(dkey)))
-	out = append(out, dkey...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, derivedCRC)))
-	return append(out, payload...)
-}
-
-// saveDerived persists a derived payload under (key, dkey), staged and
-// atomically renamed like every other store write, then rebalances the
-// directory budget.
-func (st *store) saveDerived(key Key, dkey string, payload []byte) error {
-	f, err := os.CreateTemp(st.dir, "chirp-*.l2d.tmp")
-	if err != nil {
-		return fmt.Errorf("l2stream: staging derived view: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(encodeDerivedFile(dkey, payload))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, st.derivedPath(key, dkey))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("l2stream: persisting derived view: %w", err)
-	}
-	st.gc()
-	return nil
-}
-
-// gc holds the persistent directory to its byte budget: capture groups
-// — a stream's .l2s file plus its .l2d derived views, which stand or
-// fall together — are evicted
-// least-recently-used first (by the group's newest mtime; loads touch
-// the .l2s, so "used" means read or written) until the directory
-// fits. Concurrent processes sharing a directory may each run gc; the
-// worst race outcome is a double eviction of the same group, and a
-// load racing an eviction reads as absent and recaptures.
-func (st *store) gc() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.limit <= 0 {
-		return
-	}
-	type group struct {
-		paths []string
-		bytes int64
-		mtime time.Time
-	}
-	ents, err := os.ReadDir(st.dir)
-	if err != nil {
-		obsCacheDiskErrors.Inc()
-		return
-	}
-	groups := map[string]*group{}
-	total := int64(0)
-	for _, ent := range ents {
-		name := ent.Name()
-		// Group id = the content-address hex in "chirp-<hex>…". Temp
-		// files and foreign files are left alone.
-		if !strings.HasPrefix(name, "chirp-") || strings.HasSuffix(name, ".tmp") {
-			continue
+	table, payloads := data[storeHeaderSize:tableEnd], data[tableEnd:bodyStart]
+	var secs []section
+	for i := uint64(0); i < u[hdrSections]; i++ {
+		if len(table) < 2 {
+			return nil, nil, false
 		}
-		ext := filepath.Ext(name)
-		if ext != ".l2s" && ext != ".l2d" {
-			continue
+		k := 2 + int(binary.LittleEndian.Uint16(table))
+		if len(table) < k+12 {
+			return nil, nil, false
 		}
-		id := strings.TrimPrefix(name, "chirp-")
-		if i := strings.IndexAny(id, "-."); i >= 0 {
-			id = id[:i]
+		n := binary.LittleEndian.Uint64(table[k:])
+		if n > uint64(len(payloads)) {
+			return nil, nil, false
 		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
+		sec := section{key: string(table[2:k]), payload: payloads[:n]}
+		if crc32.Checksum(sec.payload, storeCRC) != binary.LittleEndian.Uint32(table[k+8:]) {
+			sec.payload = nil
 		}
-		g := groups[id]
-		if g == nil {
-			g = &group{}
-			groups[id] = g
-		}
-		g.paths = append(g.paths, filepath.Join(st.dir, name))
-		g.bytes += info.Size()
-		if m := info.ModTime(); m.After(g.mtime) {
-			g.mtime = m
-		}
-		total += info.Size()
+		secs = append(secs, sec)
+		table, payloads = table[k+12:], payloads[n:]
 	}
-	obsStoreBytes.Set(total)
-	if total <= st.limit {
-		return
+	if len(table) != 0 || len(payloads) != 0 {
+		return nil, nil, false
 	}
-	order := make([]*group, 0, len(groups))
-	//chirp:allow determinism groups are sorted by mtime below before eviction order matters
-	for _, g := range groups {
-		order = append(order, g)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].mtime.Before(order[j].mtime) })
-	for _, g := range order {
-		if total <= st.limit {
-			break
-		}
-		for _, p := range g.paths {
-			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-				obsCacheDiskErrors.Inc()
-			}
-		}
-		total -= g.bytes
-		obsStoreEvictions.Inc()
-	}
-	obsStoreBytes.Set(total)
+	return &Stream{
+		cfg:          key.Config,
+		buf:          body,
+		records:      u[0],
+		instructions: u[1],
+		events:       u[2],
+		accesses:     u[3],
+		warmupAt:     u[4],
+		warmInstrAt:  u[5],
+		l1iMisses:    u[6],
+		l1dMisses:    u[7],
+		warmed:       u[8] != 0,
+	}, secs, true
 }
 
 // load returns the persisted stream for key, or (nil, nil) when the
 // store holds nothing usable for it — a missing, truncated, corrupt or
 // mismatched file all read as "absent", so the caller recaptures and
-// save atomically replaces whatever was there.
+// the stream's first Derive atomically replaces whatever was there.
+// The body is copied to an exact-size buffer; the view sections stay
+// in the pooled read buffer, on the stream, until its first Derive
+// decodes them.
 func (st *store) load(key Key) (*Stream, error) {
-	path := st.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+	bp, s, secs, err := st.readFile(key)
+	if s == nil {
+		if err != nil {
+			err = fmt.Errorf("l2stream: reading persisted capture: %w", err)
 		}
-		return nil, fmt.Errorf("l2stream: reading persisted capture: %w", err)
+		return nil, err
 	}
-	s, ok := decodeStoreFile(data, key)
-	if !ok {
-		return nil, nil
-	}
-	st.attachDerived(s, key)
+	s.buf = append([]byte(nil), s.buf...)
+	s.file = &storeFile{st: st, key: key, pending: secs, pendingBuf: bp}
 	// Touch the file so the GC's LRU order counts reads as uses, not
-	// just the original capture time. Best-effort, and only worth a
+	// just the original write time. Best-effort, and only worth a
 	// syscall when a byte budget means the GC can actually run.
 	st.mu.Lock()
 	limited := st.limit > 0
 	st.mu.Unlock()
 	if limited {
 		now := time.Now()
-		_ = os.Chtimes(path, now, now)
+		_ = os.Chtimes(st.path(key), now, now)
 	}
 	return s, nil
 }
 
-// decodeStoreFile validates a .l2s file against key and returns its
-// stream; the buffer aliases data. The checksum covers the run scalars
-// and the body, so a file it accepts is one save wrote (short of a
-// CRC-32C collision) and decodes to its header's event and access
-// counts. Split from load for tests.
-func decodeStoreFile(data []byte, key Key) (*Stream, bool) {
-	if len(data) < storeHeaderSize || string(data[:4]) != storeMagic {
-		return nil, false
+// sections returns the view sections in the stream's file plus the
+// pooled buffer they alias, nil when the file is missing or unusable:
+// the ones load read, if no Derive took them yet, else those of a
+// fresh read of the file. Called with f.mu held.
+func (f *storeFile) sections() ([]section, *[]byte) {
+	if f.pendingBuf != nil {
+		secs, bp := f.pending, f.pendingBuf
+		f.pending, f.pendingBuf = nil, nil
+		return secs, bp
 	}
-	if binary.LittleEndian.Uint32(data[4:8]) != CodecVersion {
-		return nil, false
+	bp, _, secs, err := f.st.readFile(f.key)
+	if err != nil {
+		obsCacheDiskErrors.Inc()
 	}
-	want := fingerprint(key)
-	if string(data[8:8+sha256.Size]) != string(want[:]) {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(data[storeCRCOffset:]) != crc32.Checksum(data[storeCRCOffset+4:], derivedCRC) {
-		return nil, false
-	}
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(data[storeU64Offset+8*i:]) }
-	body := data[storeHeaderSize:]
-	if u(9) != uint64(len(body)) || u(8) > 1 {
-		return nil, false
-	}
-	return &Stream{
-		cfg:          key.Config,
-		buf:          body,
-		records:      u(0),
-		instructions: u(1),
-		events:       u(2),
-		accesses:     u(3),
-		warmupAt:     u(4),
-		warmInstrAt:  u(5),
-		l1iMisses:    u(6),
-		l1dMisses:    u(7),
-		warmed:       u(8) != 0,
-	}, true
+	return secs, bp
 }
 
-// save persists a freshly captured stream under key: header plus
-// buffer, staged in a temp file and renamed into place.
-func (st *store) save(key Key, s *Stream) error {
-	h := fingerprint(key)
+// write writes the stream's file, staged in a temp file and renamed
+// into place: the body, added, and the sections the file holds now
+// that added does not replace. It counts the write or the failure,
+// then rebalances the directory budget.
+func (f *storeFile) write(s *Stream, added []section) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	secs, bp := f.sections()
+	defer releaseBuf(bp)
+	built := len(added)
+	for _, sec := range secs {
+		if _, dup := findSection(added, sec.key); !dup && sec.payload != nil {
+			added = append(added, sec)
+		}
+	}
+	start := time.Now()
+	h := fingerprint(f.key)
 	hdr := make([]byte, storeHeaderSize)
+	bufs := [][]byte{nil}
+	for _, sec := range added {
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(sec.key)))
+		hdr = append(hdr, sec.key...)
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(sec.payload)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(sec.payload, storeCRC))
+		bufs = append(bufs, sec.payload)
+	}
 	copy(hdr, storeMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], CodecVersion)
 	copy(hdr[8:], h[:])
-	for i, v := range [10]uint64{
+	binary.LittleEndian.PutUint32(hdr[storeBodyCRC:], crc32.Checksum(s.buf, storeCRC))
+	warmed := uint64(0)
+	if s.warmed {
+		warmed = 1
+	}
+	for i, v := range [12]uint64{
 		s.records, s.instructions, s.events, s.accesses,
 		s.warmupAt, s.warmInstrAt, s.l1iMisses, s.l1dMisses,
-		b2u(s.warmed), uint64(len(s.buf)),
+		warmed, uint64(len(s.buf)), uint64(len(hdr) - storeHeaderSize), uint64(len(added)),
 	} {
 		binary.LittleEndian.PutUint64(hdr[storeU64Offset+8*i:], v)
 	}
-	sum := crc32.Update(crc32.Checksum(hdr[storeCRCOffset+4:], derivedCRC), derivedCRC, s.buf)
-	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], sum)
+	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], crc32.Checksum(hdr[storeCRCOffset+4:], storeCRC))
+	bufs[0] = hdr
 
-	f, err := os.CreateTemp(st.dir, "chirp-*.l2s.tmp")
+	tmp, err := os.CreateTemp(f.st.dir, "chirp-*.l2s.tmp")
 	if err != nil {
-		return fmt.Errorf("l2stream: staging persisted capture: %w", err)
+		obsCacheDiskErrors.Inc()
+		return
 	}
-	tmp := f.Name()
-	_, err = f.Write(hdr)
-	if err == nil {
-		_, err = f.Write(s.buf)
+	for _, b := range append(bufs, s.buf) {
+		if err == nil {
+			_, err = tmp.Write(b)
+		}
 	}
-	if cerr := f.Close(); err == nil {
+	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, st.path(key))
+		err = os.Rename(tmp.Name(), f.st.path(f.key))
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("l2stream: persisting capture: %w", err)
+		os.Remove(tmp.Name())
+		obsCacheDiskErrors.Inc()
+		return
 	}
-	st.attachDerived(s, key)
-	st.gc()
-	return nil
+	obsCacheDiskWrites.Inc()
+	obsDerivedDiskWrites.Add(uint64(built))
+	obsPhaseStoreWrite.Observe(time.Since(start).Seconds())
+	f.st.gc()
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+// gc holds the persistent directory to its byte budget: store files
+// are evicted least-recently-used first (by mtime; loads touch the
+// file, so "used" means read or written) until the directory fits. A
+// capture and its views are one file, so they go together. Files of
+// older codec versions — .l2s captures and the separate .l2d views
+// version 3 wrote — are never addressed again; they count against the
+// budget like any file and age out first. Concurrent processes sharing
+// a directory may each run gc; the worst race outcome is a double
+// eviction of the same file, and a load racing an eviction reads as
+// absent and recaptures.
+func (st *store) gc() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.limit <= 0 {
+		return
 	}
-	return 0
+	ents, err := os.ReadDir(st.dir)
+	if err != nil {
+		obsCacheDiskErrors.Inc()
+		return
+	}
+	var files []fs.FileInfo
+	total := int64(0)
+	for _, ent := range ents {
+		// Temp files (still being written) and foreign files are left
+		// alone.
+		name := ent.Name()
+		if ext := filepath.Ext(name); !strings.HasPrefix(name, "chirp-") || (ext != ".l2s" && ext != ".l2d") {
+			continue
+		}
+		if info, err := ent.Info(); err == nil {
+			files = append(files, info)
+			total += info.Size()
+		}
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].ModTime().Before(files[j].ModTime()) })
+	for _, fi := range files {
+		if total <= st.limit {
+			break
+		}
+		if err := os.Remove(filepath.Join(st.dir, fi.Name())); err != nil && !os.IsNotExist(err) {
+			obsCacheDiskErrors.Inc()
+		}
+		total -= fi.Size()
+		obsStoreEvictions.Inc()
+	}
+	obsStoreBytes.Set(total)
 }

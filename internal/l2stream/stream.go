@@ -16,7 +16,8 @@
 // (a few bytes per event), which is also the body of its persisted
 // .l2s file. Everything replay walks — the dense access view and the
 // signature sequences — is a derived view built by streaming that
-// buffer through Decoder.NextBlock (derived.go). A capture whose
+// buffer through Decoder.NextBlock (derived.go), and persisted as a
+// section of the same file. A capture whose
 // buffer would pass the byte budget stops with ErrOverBudget, and the
 // caller runs the direct driver instead.
 package l2stream
@@ -141,6 +142,7 @@ type Decoder struct {
 	pos       int
 	lastPC    uint64
 	lastVPN   uint64
+	accesses  uint64 // access events decoded so far
 	pageShift uint
 	err       error
 }
@@ -157,7 +159,7 @@ func (d *Decoder) NextBlock(evs []Event) int {
 		return 0
 	}
 	buf, pos := d.buf, d.pos
-	lastPC, lastVPN := d.lastPC, d.lastVPN
+	lastPC, lastVPN, acc := d.lastPC, d.lastVPN, d.accesses
 	shift := d.pageShift
 	n := 0
 	for n < len(evs) && pos < len(buf) {
@@ -183,6 +185,7 @@ func (d *Decoder) NextBlock(evs []Event) int {
 			ev.Kind = EventInstrAccess
 			ev.PC = pc
 			ev.VPN = pc >> shift
+			acc++
 		case wireDataAccess:
 			delta, p, ok = decodeVarint(buf, pos)
 			if !ok {
@@ -194,6 +197,7 @@ func (d *Decoder) NextBlock(evs []Event) int {
 			ev.Kind = EventDataAccess
 			ev.PC = pc
 			ev.VPN = lastVPN
+			acc++
 		case wireCondBranch, wireDirBranch, wireIndBranch:
 			delta, p, ok = decodeVarint(buf, pos)
 			if !ok {
@@ -215,7 +219,7 @@ func (d *Decoder) NextBlock(evs []Event) int {
 		}
 		n++
 	}
-	d.pos, d.lastPC, d.lastVPN = pos, lastPC, lastVPN
+	d.pos, d.lastPC, d.lastVPN, d.accesses = pos, lastPC, lastVPN, acc
 	return n
 }
 
@@ -269,20 +273,13 @@ type Stream struct {
 	cfg Config
 	buf []byte // encoded events
 
-	// Derived views (see derived.go): keyed single-flight memos of
-	// precomputed arrays, plus the persistence and accounting hooks the
-	// capture store and the cache install. dvLoad/dvSave are written
-	// once when the store loads or saves the stream, onGrow once when
-	// the cache commits it — all before other goroutines can reach the
-	// stream, so only the map and the byte total need the mutex.
-	// dvLoad returns a payload plus a release hook (either may be nil);
-	// the payload may alias a pooled buffer, so Derived calls release
-	// as soon as the spec's Decode has copied out of it.
+	// Derived views (see derived.go): keyed single-flight memos, plus
+	// the store file and cache hook, each set once before other
+	// goroutines can reach the stream; the mutex guards map and total.
 	derivedMu    sync.Mutex
 	derived      map[string]*derivedSlot
 	derivedBytes int64
-	dvLoad       func(key string) (payload []byte, release func())
-	dvSave       func(key string, payload []byte)
+	file         *storeFile // nil: not backed by a capture store
 	onGrow       func(delta int64)
 
 	records      uint64
@@ -342,7 +339,8 @@ const blockEvents = 256
 
 // EachBlock streams the whole event sequence through fn, one decoded
 // block at a time, and checks that the buffer held exactly Events()
-// events. The block aliases a buffer reused across calls, so fn must
+// events, Accesses() of them accesses — so every view built from the
+// blocks agrees with the header's counts. The block aliases a buffer reused across calls, so fn must
 // not retain it; as with NextBlock, only the fields meaningful for
 // each event's Kind are valid.
 func (s *Stream) EachBlock(fn func(evs []Event)) error {
@@ -360,8 +358,8 @@ func (s *Stream) EachBlock(fn func(evs []Event)) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != s.events {
-		return fmt.Errorf("l2stream: corrupt stream: decoded %d of %d events", n, s.events)
+	if n != s.events || d.accesses != s.accesses {
+		return fmt.Errorf("l2stream: corrupt stream: decoded %d events / %d accesses, header says %d / %d", n, d.accesses, s.events, s.accesses)
 	}
 	return nil
 }

@@ -26,7 +26,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %d\n", e.name, e.gauge.Value())
 		case kindHistogram:
-			err = writePromHistogram(w, e.name, e.hist)
+			err = writePromHistogram(w, e.name, "", "", e.hist)
+		case kindHistogramVec:
+			for _, k := range e.histVec.snapshotKeys() {
+				if err = writePromHistogram(w, e.name, e.histVec.label, k, e.histVec.With(k)); err != nil {
+					break
+				}
+			}
 		case kindCounterVec:
 			for _, k := range e.counterVec.snapshotKeys() {
 				if _, err = fmt.Fprintf(w, "%s %d\n", series(e.name, e.counterVec.label, k), e.counterVec.With(k).Value()); err != nil {
@@ -47,22 +53,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writePromHistogram(w io.Writer, name string, h *Histogram) error {
+// writePromHistogram renders one histogram's series, under the label
+// pair when label is non-empty (a HistogramVec member).
+func writePromHistogram(w io.Writer, name, label, value string, h *Histogram) error {
 	counts := h.BucketCounts()
 	cum := uint64(0)
 	for i, b := range h.Bounds() {
 		cum += counts[i]
-		if _, err := fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", "le", formatFloat(b)), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", bucketSeries(name, label, value, formatFloat(b)), cum); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", "le", "+Inf"), h.Count()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %d\n", bucketSeries(name, label, value, "+Inf"), h.Count()); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %v\n", name, h.Sum()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %v\n", series(name+"_sum", label, value), h.Sum()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	_, err := fmt.Fprintf(w, "%s %d\n", series(name+"_count", label, value), h.Count())
 	return err
 }
 
@@ -78,19 +86,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		case kindGauge:
 			out[e.name] = e.gauge.Value()
 		case kindHistogram:
-			buckets := map[string]uint64{}
-			counts := e.hist.BucketCounts()
-			cum := uint64(0)
-			for i, b := range e.hist.Bounds() {
-				cum += counts[i]
-				buckets[formatFloat(b)] = cum
+			out[e.name] = histJSON(e.hist)
+		case kindHistogramVec:
+			m := map[string]any{}
+			for _, k := range e.histVec.snapshotKeys() {
+				m[k] = histJSON(e.histVec.With(k))
 			}
-			buckets["+Inf"] = e.hist.Count()
-			out[e.name] = map[string]any{
-				"count":   e.hist.Count(),
-				"sum":     e.hist.Sum(),
-				"buckets": buckets,
-			}
+			out[e.name] = m
 		case kindCounterVec:
 			m := map[string]uint64{}
 			for _, k := range e.counterVec.snapshotKeys() {
@@ -108,4 +110,18 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// histJSON is one histogram's {count, sum, buckets} object, buckets
+// cumulative and keyed by upper bound.
+func histJSON(h *Histogram) map[string]any {
+	buckets := map[string]uint64{}
+	counts := h.BucketCounts()
+	cum := uint64(0)
+	for i, b := range h.Bounds() {
+		cum += counts[i]
+		buckets[formatFloat(b)] = cum
+	}
+	buckets["+Inf"] = h.Count()
+	return map[string]any{"count": h.Count(), "sum": h.Sum(), "buckets": buckets}
 }

@@ -130,84 +130,60 @@ func DurationBuckets() []float64 {
 	return []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 }
 
-// CounterVec is a family of Counters keyed by one label value (the
-// only shape the simulator needs: per-TLB-level, per-status).
-type CounterVec struct {
+// family is a set of metrics of one kind keyed by one label value
+// (the only shape the simulator needs: per-TLB-level, per-status,
+// per-phase). Members are created on first use, by mk when set.
+type family[T any] struct {
 	label string
+	mk    func() *T
 
 	mu sync.RWMutex
-	m  map[string]*Counter
+	m  map[string]*T
 }
 
-// With returns the counter for the label value, creating it on first
+// With returns the member for the label value, creating it on first
 // use. The fast path is one RLock.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.RLock()
-	c := v.m[value]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
+func (f *family[T]) With(value string) *T {
+	f.mu.RLock()
+	v := f.m[value]
+	f.mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.m[value]; c == nil {
-		c = &Counter{}
-		v.m[value] = c
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if v = f.m[value]; v == nil {
+		v = new(T)
+		if f.mk != nil {
+			v = f.mk()
+		}
+		f.m[value] = v
 	}
-	return c
+	return v
 }
 
 // Label returns the family's label name.
-func (v *CounterVec) Label() string { return v.label }
+func (f *family[T]) Label() string { return f.label }
 
 // snapshotKeys returns the label values, sorted, for deterministic
 // export order.
-func (v *CounterVec) snapshotKeys() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	keys := make([]string, 0, len(v.m))
-	for k := range v.m {
+func (f *family[T]) snapshotKeys() []string {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	keys := make([]string, 0, len(f.m))
+	for k := range f.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
+
+// CounterVec is a family of Counters keyed by one label value.
+type CounterVec struct{ family[Counter] }
 
 // GaugeVec is a family of Gauges keyed by one label value.
-type GaugeVec struct {
-	label string
+type GaugeVec struct{ family[Gauge] }
 
-	mu sync.RWMutex
-	m  map[string]*Gauge
-}
-
-// With returns the gauge for the label value, creating it on first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.RLock()
-	g := v.m[value]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.m[value]; g == nil {
-		g = &Gauge{}
-		v.m[value] = g
-	}
-	return g
-}
-
-// Label returns the family's label name.
-func (v *GaugeVec) Label() string { return v.label }
-
-func (v *GaugeVec) snapshotKeys() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	keys := make([]string, 0, len(v.m))
-	for k := range v.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// HistogramVec is a family of Histograms keyed by one label value, all
+// sharing one bucket ladder (per-phase latencies, say).
+type HistogramVec struct{ family[Histogram] }

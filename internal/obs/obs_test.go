@@ -209,6 +209,67 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
+// TestHistogramVec: a labelled histogram family exports each member
+// under its label pair in all three surfaces — snapshot series,
+// Prometheus text (the le label after the family's own), and nested
+// JSON — and members share the family's bucket ladder.
+func TestHistogramVec(t *testing.T) {
+	r := NewRegistry()
+	v := r.HistogramVec("phase_seconds", "Per phase.", "phase", []float64{1, 0.1})
+	if r.HistogramVec("phase_seconds", "", "phase", nil) != v {
+		t.Fatal("re-registration returned a different family")
+	}
+	v.With("derive").Observe(0.05)
+	v.With("derive").Observe(2)
+	v.With("store_read").Observe(0.5)
+
+	snap := r.Snapshot()
+	for series, want := range map[string]float64{
+		`phase_seconds_count{phase="derive"}`:               2,
+		`phase_seconds_sum{phase="derive"}`:                 2.05,
+		`phase_seconds_bucket{phase="derive",le="0.1"}`:     1,
+		`phase_seconds_bucket{phase="derive",le="1"}`:       1,
+		`phase_seconds_bucket{phase="derive",le="+Inf"}`:    2,
+		`phase_seconds_bucket{phase="store_read",le="1"}`:   1,
+		`phase_seconds_bucket{phase="store_read",le="0.1"}`: 0,
+	} {
+		if got, ok := snap[series]; !ok || got != want {
+			t.Errorf("snapshot[%s] = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE phase_seconds histogram\n",
+		`phase_seconds_bucket{phase="derive",le="0.1"} 1` + "\n",
+		`phase_seconds_bucket{phase="derive",le="+Inf"} 2` + "\n",
+		`phase_seconds_sum{phase="store_read"} 0.5` + "\n",
+		`phase_seconds_count{phase="store_read"} 1` + "\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	sb.Reset()
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]map[string]struct {
+		Count   uint64            `json:"count"`
+		Buckets map[string]uint64 `json:"buckets"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
+		t.Fatal(err)
+	}
+	if d := got["phase_seconds"]["derive"]; d.Count != 2 || d.Buckets["1"] != 1 {
+		t.Fatalf("JSON derive member = %+v", d)
+	}
+}
+
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits", "Hits.").Inc()

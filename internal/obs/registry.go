@@ -16,6 +16,7 @@ const (
 	kindHistogram
 	kindCounterVec
 	kindGaugeVec
+	kindHistogramVec
 )
 
 func (k kind) String() string {
@@ -24,7 +25,7 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge, kindGaugeVec:
 		return "gauge"
-	case kindHistogram:
+	case kindHistogram, kindHistogramVec:
 		return "histogram"
 	}
 	return "untyped"
@@ -41,6 +42,7 @@ type entry struct {
 	hist       *Histogram
 	counterVec *CounterVec
 	gaugeVec   *GaugeVec
+	histVec    *HistogramVec
 }
 
 // Registry holds named metrics. Registration is get-or-create and
@@ -111,7 +113,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	return r.lookup(name, kindCounterVec, func() *entry {
 		return &entry{name: name, help: help, kind: kindCounterVec,
-			counterVec: &CounterVec{label: label, m: map[string]*Counter{}}}
+			counterVec: &CounterVec{family[Counter]{label: label, m: map[string]*Counter{}}}}
 	}).counterVec
 }
 
@@ -119,8 +121,19 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	return r.lookup(name, kindGaugeVec, func() *entry {
 		return &entry{name: name, help: help, kind: kindGaugeVec,
-			gaugeVec: &GaugeVec{label: label, m: map[string]*Gauge{}}}
+			gaugeVec: &GaugeVec{family[Gauge]{label: label, m: map[string]*Gauge{}}}}
 	}).gaugeVec
+}
+
+// HistogramVec returns the named single-label histogram family, every
+// member bucketed by bounds (ignored when already present).
+func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
+	return r.lookup(name, kindHistogramVec, func() *entry {
+		b := append([]float64(nil), bounds...)
+		mk := func() *Histogram { return newHistogram(b) }
+		return &entry{name: name, help: help, kind: kindHistogramVec,
+			histVec: &HistogramVec{family[Histogram]{label: label, mk: mk, m: map[string]*Histogram{}}}}
+	}).histVec
 }
 
 // entries returns a stable copy of the registration list.
@@ -137,6 +150,29 @@ func series(name, label, value string) string {
 		return name
 	}
 	return name + "{" + label + "=" + strconv.Quote(value) + "}"
+}
+
+// bucketSeries renders a histogram bucket's series name: the le label,
+// after the family's own label pair when there is one.
+func bucketSeries(name, label, value, le string) string {
+	if label == "" {
+		return series(name+"_bucket", "le", le)
+	}
+	return name + "_bucket{" + label + "=" + strconv.Quote(value) + ",le=" + strconv.Quote(le) + "}"
+}
+
+// histSnapshot adds one histogram's _count, _sum and cumulative
+// _bucket series to s, under the label pair when label is non-empty.
+func histSnapshot(s Snapshot, name, label, value string, h *Histogram) {
+	s[series(name+"_count", label, value)] = float64(h.Count())
+	s[series(name+"_sum", label, value)] = h.Sum()
+	cum := uint64(0)
+	counts := h.BucketCounts()
+	for i, b := range h.Bounds() {
+		cum += counts[i]
+		s[bucketSeries(name, label, value, formatFloat(b))] = float64(cum)
+	}
+	s[bucketSeries(name, label, value, "+Inf")] = float64(h.Count())
 }
 
 // Snapshot is a flat point-in-time view of a registry: fully-qualified
@@ -156,15 +192,11 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindGauge:
 			s[e.name] = float64(e.gauge.Value())
 		case kindHistogram:
-			s[e.name+"_count"] = float64(e.hist.Count())
-			s[e.name+"_sum"] = e.hist.Sum()
-			cum := uint64(0)
-			counts := e.hist.BucketCounts()
-			for i, b := range e.hist.Bounds() {
-				cum += counts[i]
-				s[series(e.name+"_bucket", "le", formatFloat(b))] = float64(cum)
+			histSnapshot(s, e.name, "", "", e.hist)
+		case kindHistogramVec:
+			for _, k := range e.histVec.snapshotKeys() {
+				histSnapshot(s, e.name, e.histVec.label, k, e.histVec.With(k))
 			}
-			s[series(e.name+"_bucket", "le", "+Inf")] = float64(e.hist.Count())
 		case kindCounterVec:
 			for _, k := range e.counterVec.snapshotKeys() {
 				s[series(e.name, e.counterVec.label, k)] = float64(e.counterVec.With(k).Value())

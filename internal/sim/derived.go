@@ -18,10 +18,12 @@
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
 //
-// Each builder streams the stream's varint buffer once through
-// l2stream.Stream.EachBlock. The views are memoized on the stream
-// (l2stream.Derived: single-flight, budget-accounted) and persisted as
-// .l2d files when the stream belongs to a -capturedir store, so warm
+// Each view has an incremental builder fed decoded event blocks;
+// viewSpecs lists the views a replay needs, and ReplayMulti hands that
+// list to l2stream.Stream.Derive, which builds the missing ones in one
+// shared decode pass. The views are memoized on the stream
+// (single-flight, budget-accounted) and persisted as sections of the
+// stream's store file when it belongs to a -capturedir store, so warm
 // sweeps skip both the decode and the signature recomputation.
 package sim
 
@@ -32,6 +34,7 @@ import (
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
+	"github.com/chirplab/chirp/internal/tlb"
 )
 
 // replayView is the dense struct-of-arrays access view for one (L2
@@ -61,154 +64,141 @@ func (v *replayView) bytes() int64 {
 		int64(len(v.pfOff)*4+len(v.pfVPN)*8)
 }
 
-// replayViewFor materializes (or recalls) the stream's dense replay
-// view for cfg's L2 geometry and prefetch distance.
-func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, error) {
+// viewSpecs lists the derived views replaying policies under cfg
+// reads: the dense replay view for cfg's L2 geometry and prefetch
+// distance first, then the signature sequence of each signature-fed
+// policy (CHiRP per signature configuration, GHRP). sigAt[j] is the
+// index of policy j's signature view (0 for a policy without one).
+// Duplicates are harmless: Derive shares keys.
+func viewSpecs(cfg TLBOnlyConfig, policies []tlb.Policy) (specs []*l2stream.DerivedSpec, sigAt []int) {
+	specs = []*l2stream.DerivedSpec{replayViewSpec(cfg)}
+	sigAt = make([]int, len(policies))
+	for j, p := range policies {
+		switch pp := p.(type) {
+		case *core.CHiRP:
+			specs = append(specs, chirpSigSpec(pp.Config()))
+		case *policy.GHRP:
+			specs = append(specs, ghrpSigSpec)
+		default:
+			continue
+		}
+		sigAt[j] = len(specs) - 1
+	}
+	return specs, sigAt
+}
+
+// replayViewSpec is the dense replay view family for cfg's L2
+// geometry and prefetch distance.
+func replayViewSpec(cfg TLBOnlyConfig) *l2stream.DerivedSpec {
 	sets := cfg.Hierarchy.L2.Entries / cfg.Hierarchy.L2.Ways
 	pd := cfg.PrefetchDistance
-	spec := &l2stream.DerivedSpec{
-		Key:   fmt.Sprintf("rv1:s%d:pd%d", sets, pd),
-		Build: func(s *l2stream.Stream) (any, error) { return buildReplayView(s, sets, pd) },
-		Bytes: func(view any) int64 { return view.(*replayView).bytes() },
-		Encode: func(view any) []byte {
-			return encodeReplayView(view.(*replayView))
+	return &l2stream.DerivedSpec{
+		Key: fmt.Sprintf("rv2:s%d:pd%d", sets, pd),
+		Build: func(s *l2stream.Stream) l2stream.DerivedBuilder {
+			n := int(s.Accesses())
+			b := &replayViewBuilder{v: &replayView{
+				pc:      make([]uint64, 0, n),
+				vpn:     make([]uint64, 0, n),
+				set:     make([]uint32, 0, n),
+				instr:   make([]uint8, 0, n),
+				warmIdx: -1,
+			}, mask: uint64(sets - 1)}
+			if pd > 0 {
+				b.pf = newStridePrefetcher(pd)
+				b.v.pfOff = make([]uint32, 1, n+1)
+			}
+			return b
 		},
+		Bytes:  func(view any) int64 { return view.(*replayView).bytes() },
+		Encode: func(view any) []byte { return encodeReplayView(view.(*replayView)) },
 		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
 			return decodeReplayView(s, data, sets, pd)
 		},
 	}
-	v, err := stream.Derived(spec)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*replayView), nil
 }
 
-// buildReplayView walks the stream's events once, running the shared
-// stride prefetcher over the accesses exactly as a direct run would.
-func buildReplayView(s *l2stream.Stream, sets, pd int) (*replayView, error) {
-	n := int(s.Accesses())
-	v := &replayView{
-		pc:      make([]uint64, 0, n),
-		vpn:     make([]uint64, 0, n),
-		set:     make([]uint32, 0, n),
-		instr:   make([]uint8, 0, n),
-		warmIdx: -1,
-	}
-	var pf *stridePrefetcher
-	if pd > 0 {
-		pf = newStridePrefetcher(pd)
-		v.pfOff = make([]uint32, 1, n+1)
-	}
-	mask := uint64(sets - 1)
-	err := s.EachBlock(func(evs []l2stream.Event) {
-		for i := range evs {
-			ev := &evs[i]
-			var instr uint8
-			switch ev.Kind {
-			case l2stream.EventWarmup:
-				v.warmIdx = len(v.pc)
-				continue
-			case l2stream.EventBranch:
-				continue
-			case l2stream.EventInstrAccess:
-				instr = 1
-			}
-			v.pc = append(v.pc, ev.PC)
-			v.vpn = append(v.vpn, ev.VPN)
-			v.set = append(v.set, uint32(ev.VPN&mask))
-			v.instr = append(v.instr, instr)
-			if pf != nil {
-				v.pfVPN = append(v.pfVPN, pf.observe(ev.PC, ev.VPN)...)
-				v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
-			}
+// replayViewBuilder builds a replayView, running the shared stride
+// prefetcher over the accesses exactly as a direct run would.
+type replayViewBuilder struct {
+	v    *replayView
+	pf   *stridePrefetcher
+	mask uint64
+}
+
+func (b *replayViewBuilder) Feed(evs []l2stream.Event) {
+	v := b.v
+	for i := range evs {
+		ev := &evs[i]
+		var instr uint8
+		switch ev.Kind {
+		case l2stream.EventWarmup:
+			v.warmIdx = len(v.pc)
+			continue
+		case l2stream.EventBranch:
+			continue
+		case l2stream.EventInstrAccess:
+			instr = 1
 		}
-	})
-	if err != nil {
-		return nil, err
+		v.pc = append(v.pc, ev.PC)
+		v.vpn = append(v.vpn, ev.VPN)
+		v.set = append(v.set, uint32(ev.VPN&b.mask))
+		v.instr = append(v.instr, instr)
+		if b.pf != nil {
+			v.pfVPN = append(v.pfVPN, b.pf.observe(ev.PC, ev.VPN)...)
+			v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
+		}
 	}
-	if len(v.pc) != n {
-		return nil, fmt.Errorf("sim: replay view decoded %d accesses, stream reports %d", len(v.pc), n)
-	}
-	return v, nil
 }
 
-// encodeReplayView serializes the view as a .l2d payload. The
+func (b *replayViewBuilder) Finish() any { return b.v }
+
+// encodeReplayView serializes the view as a store-section payload:
+// warmIdx+1, then the pc, vpn, instr, pfOff and pfVPN columns. The
 // set-index array is recomputed at decode (one mask per access) rather
 // than stored.
 func encodeReplayView(v *replayView) []byte {
-	n := len(v.pc)
-	size := 8 + 8 + 1 + n*8 + n*8 + n
-	if v.pfOff != nil {
-		size += len(v.pfOff)*4 + len(v.pfVPN)*8
-	}
-	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint64(out, uint64(n))
-	out = binary.LittleEndian.AppendUint64(out, uint64(int64(v.warmIdx)))
-	if v.pfOff != nil {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = appendU64s(out, v.pc)
-	out = appendU64s(out, v.vpn)
-	out = append(out, v.instr...)
-	if v.pfOff != nil {
-		out = appendU32s(out, v.pfOff)
-		out = appendU64s(out, v.pfVPN)
-	}
-	return out
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 48+v.bytes()), uint64(v.warmIdx+1))
+	out = appendCol(out, v.pc)
+	out = appendCol(out, v.vpn)
+	out = appendCol(out, v.instr)
+	out = appendCol(out, v.pfOff)
+	return appendCol(out, v.pfVPN)
 }
 
-// decodeReplayView validates a .l2d payload against the stream and
+// decodeReplayView validates a section payload against the stream and
 // the view's configuration and rebuilds the in-memory form. ok=false
-// means corrupt or stale — the caller rebuilds from the stream.
+// means stale — the caller rebuilds from the stream.
 func decodeReplayView(s *l2stream.Stream, data []byte, sets, pd int) (*replayView, bool) {
-	if len(data) < 17 {
+	if len(data) < 8 || binary.LittleEndian.Uint64(data) > s.Accesses()+1 {
 		return nil, false
 	}
-	n := int(binary.LittleEndian.Uint64(data))
-	warmIdx := int(int64(binary.LittleEndian.Uint64(data[8:])))
-	hasPF := data[16]
-	if uint64(n) != s.Accesses() || warmIdx < -1 || warmIdx > n {
+	v := &replayView{warmIdx: int(binary.LittleEndian.Uint64(data)) - 1}
+	c := cols{data: data[8:], ok: true}
+	v.pc, v.vpn, v.instr = readCol[uint64](&c), readCol[uint64](&c), readCol[uint8](&c)
+	v.pfOff, v.pfVPN = readCol[uint32](&c), readCol[uint64](&c)
+	n := len(v.pc)
+	if !c.ok || len(c.data) != 0 || uint64(n) != s.Accesses() || len(v.vpn) != n || len(v.instr) != n || v.warmIdx > n {
 		return nil, false
 	}
-	if (hasPF != 0) != (pd > 0) || hasPF > 1 {
-		return nil, false
-	}
-	pos := 17
-	fixed := pos + n*8 + n*8 + n
-	if hasPF != 0 {
-		if len(data) < fixed+(n+1)*4 {
-			return nil, false
-		}
-		nPF := int(binary.LittleEndian.Uint32(data[fixed+n*4:]))
-		if len(data) != fixed+(n+1)*4+nPF*8 {
-			return nil, false
-		}
-	} else if len(data) != fixed {
-		return nil, false
-	}
-	v := &replayView{warmIdx: warmIdx}
-	v.pc, pos = readU64s(data, pos, n)
-	v.vpn, pos = readU64s(data, pos, n)
-	v.instr = append([]uint8(nil), data[pos:pos+n]...)
-	pos += n
-	for i := range v.instr {
-		if v.instr[i] > 1 {
+	for _, x := range v.instr {
+		if x > 1 {
 			return nil, false
 		}
 	}
-	if hasPF != 0 {
-		v.pfOff, pos = readU32s(data, pos, n+1)
-		last := uint32(0)
-		for _, o := range v.pfOff {
-			if o < last {
+	if pd == 0 {
+		if len(v.pfOff)+len(v.pfVPN) != 0 {
+			return nil, false
+		}
+		v.pfOff = nil
+	} else {
+		if len(v.pfOff) != n+1 || v.pfOff[n] != uint32(len(v.pfVPN)) {
+			return nil, false
+		}
+		for i := 1; i <= n; i++ {
+			if v.pfOff[i] < v.pfOff[i-1] {
 				return nil, false
 			}
-			last = o
 		}
-		v.pfVPN, _ = readU64s(data, pos, int(last))
 	}
 	mask := uint64(sets - 1)
 	v.set = make([]uint32, n)
@@ -218,148 +208,126 @@ func decodeReplayView(s *l2stream.Stream, data []byte, sets, pd int) (*replayVie
 	return v, true
 }
 
-// chirpSigsFor materializes (or recalls) the CHiRP signature sequence
-// for cfg's signature-relevant configuration: per access, demand
-// signature in the low half, prefetch-fill signature in the high half.
-func chirpSigsFor(stream *l2stream.Stream, cfg core.Config) ([]uint32, error) {
-	spec := &l2stream.DerivedSpec{
-		Key:   "chirp:" + cfg.SignatureKey(),
-		Build: func(s *l2stream.Stream) (any, error) { return buildCHiRPSigs(s, cfg) },
-		Bytes: func(view any) int64 { return int64(len(view.([]uint32)) * 4) },
-		Encode: func(view any) []byte {
-			sigs := view.([]uint32)
-			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*4), uint64(len(sigs)))
-			return appendU32s(out, sigs)
-		},
+// sigSpec is a signature-sequence family: one T per access, persisted
+// as one column.
+func sigSpec[T uint32 | uint64](key string, build func(s *l2stream.Stream) l2stream.DerivedBuilder) *l2stream.DerivedSpec {
+	return &l2stream.DerivedSpec{
+		Key:    key,
+		Build:  build,
+		Bytes:  func(view any) int64 { return int64(len(view.([]T)) * binary.Size(T(0))) },
+		Encode: func(view any) []byte { return appendCol(nil, view.([]T)) },
 		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-			if len(data) < 8 {
-				return nil, false
-			}
-			n := int(binary.LittleEndian.Uint64(data))
-			if uint64(n) != s.Accesses() || len(data) != 8+n*4 {
-				return nil, false
-			}
-			sigs, _ := readU32s(data, 8, n)
-			return sigs, true
+			c := cols{data: data, ok: true}
+			sigs := readCol[T](&c)
+			return sigs, c.ok && len(c.data) == 0 && uint64(len(sigs)) == s.Accesses()
 		},
 	}
-	v, err := stream.Derived(spec)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]uint32), nil
 }
 
-// buildCHiRPSigs replays the signature computation over the stream's
-// events once, through the same Histories/signature code the live
-// policy runs (core.SigSequencer).
-func buildCHiRPSigs(s *l2stream.Stream, cfg core.Config) ([]uint32, error) {
-	q := core.NewSigSequencer(cfg)
-	out := make([]uint32, 0, s.Accesses())
-	err := s.EachBlock(func(evs []l2stream.Event) {
-		for i := range evs {
-			ev := &evs[i]
-			switch ev.Kind {
-			case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-				sig, psig := q.OnAccess(ev.PC)
-				out = append(out, uint32(sig)|uint32(psig)<<16)
-			case l2stream.EventBranch:
-				q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
-			}
-		}
+// chirpSigSpec is the CHiRP signature sequence family for cfg's
+// signature-relevant configuration: per access, demand signature in
+// the low half, prefetch-fill signature in the high half.
+func chirpSigSpec(cfg core.Config) *l2stream.DerivedSpec {
+	return sigSpec[uint32]("chirp:"+cfg.SignatureKey(), func(s *l2stream.Stream) l2stream.DerivedBuilder {
+		return &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, 0, s.Accesses())}
 	})
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(out)) != s.Accesses() {
-		return nil, fmt.Errorf("sim: chirp signature view built %d entries, stream reports %d accesses", len(out), s.Accesses())
-	}
-	return out, nil
 }
 
-// ghrpSigsFor materializes (or recalls) the GHRP signature sequence:
-// one signature per access, valid for its hit/insert and prefetch
-// fills alike.
-func ghrpSigsFor(stream *l2stream.Stream) ([]uint64, error) {
-	spec := &l2stream.DerivedSpec{
-		Key:   "ghrp:gs1",
-		Build: buildGHRPSigs,
-		Bytes: func(view any) int64 { return int64(len(view.([]uint64)) * 8) },
-		Encode: func(view any) []byte {
-			sigs := view.([]uint64)
-			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*8), uint64(len(sigs)))
-			return appendU64s(out, sigs)
-		},
-		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-			if len(data) < 8 {
-				return nil, false
-			}
-			n := int(binary.LittleEndian.Uint64(data))
-			if uint64(n) != s.Accesses() || len(data) != 8+n*8 {
-				return nil, false
-			}
-			sigs, _ := readU64s(data, 8, n)
-			return sigs, true
-		},
-	}
-	v, err := stream.Derived(spec)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]uint64), nil
+// chirpSigBuilder replays the signature computation over the events
+// through the same Histories/signature code the live policy runs
+// (core.SigSequencer).
+type chirpSigBuilder struct {
+	q   *core.SigSequencer
+	out []uint32
 }
 
-func buildGHRPSigs(s *l2stream.Stream) (any, error) {
-	var h policy.GHRPHistory
-	out := make([]uint64, 0, s.Accesses())
-	err := s.EachBlock(func(evs []l2stream.Event) {
-		for i := range evs {
-			ev := &evs[i]
-			switch ev.Kind {
-			case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-				out = append(out, h.Signature(ev.PC))
-			case l2stream.EventBranch:
-				h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
-			}
+func (b *chirpSigBuilder) Feed(evs []l2stream.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+			sig, psig := b.q.OnAccess(ev.PC)
+			b.out = append(b.out, uint32(sig)|uint32(psig)<<16)
+		case l2stream.EventBranch:
+			b.q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	if uint64(len(out)) != s.Accesses() {
-		return nil, fmt.Errorf("sim: ghrp signature view built %d entries, stream reports %d accesses", len(out), s.Accesses())
-	}
-	return out, nil
 }
 
-func appendU64s(dst []byte, xs []uint64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, x)
+func (b *chirpSigBuilder) Finish() any { return b.out }
+
+// ghrpSigSpec is the GHRP signature sequence family: one signature per
+// access, valid for its hit/insert and prefetch fills alike.
+var ghrpSigSpec = sigSpec[uint64]("ghrp:gs1", func(s *l2stream.Stream) l2stream.DerivedBuilder {
+	return &ghrpSigBuilder{out: make([]uint64, 0, s.Accesses())}
+})
+
+type ghrpSigBuilder struct {
+	h   policy.GHRPHistory
+	out []uint64
+}
+
+func (b *ghrpSigBuilder) Feed(evs []l2stream.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+			b.out = append(b.out, b.h.Signature(ev.PC))
+		case l2stream.EventBranch:
+			b.h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
+		}
+	}
+}
+
+func (b *ghrpSigBuilder) Finish() any { return b.out }
+
+// appendCol appends a column to dst: its length as a uint64, then its
+// elements, little-endian.
+func appendCol[T uint8 | uint32 | uint64](dst []byte, xs []T) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(xs)))
+	switch xs := any(xs).(type) {
+	case []uint8:
+		dst = append(dst, xs...)
+	case []uint32:
+		for _, x := range xs {
+			dst = binary.LittleEndian.AppendUint32(dst, x)
+		}
+	case []uint64:
+		for _, x := range xs {
+			dst = binary.LittleEndian.AppendUint64(dst, x)
+		}
 	}
 	return dst
 }
 
-func appendU32s(dst []byte, xs []uint32) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint32(dst, x)
-	}
-	return dst
+// cols reads appendCol columns back in order. ok turns false, and
+// stays false, once a column runs past the payload.
+type cols struct {
+	data []byte
+	ok   bool
 }
 
-func readU64s(data []byte, pos, n int) ([]uint64, int) {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
+func readCol[T uint8 | uint32 | uint64](c *cols) []T {
+	size := uint64(binary.Size(T(0)))
+	if !c.ok || len(c.data) < 8 || binary.LittleEndian.Uint64(c.data) > uint64(len(c.data)-8)/size {
+		c.ok = false
+		return nil
 	}
-	return out, pos
-}
-
-func readU32s(data []byte, pos, n int) ([]uint32, int) {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(data[pos:])
-		pos += 4
+	n := binary.LittleEndian.Uint64(c.data)
+	body := c.data[8 : 8+n*size]
+	c.data = c.data[8+n*size:]
+	out := make([]T, n)
+	switch out := any(out).(type) {
+	case []uint8:
+		copy(out, body)
+	case []uint32:
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint32(body[4*i:])
+		}
+	case []uint64:
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(body[8*i:])
+		}
 	}
-	return out, pos
+	return out
 }

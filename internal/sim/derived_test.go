@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,10 +36,11 @@ func persistentStreamFor(t *testing.T, dir, name string, cfg TLBOnlyConfig) (*l2
 }
 
 // TestReplayMultiPersistentWarmEquivalence gates the warm-persistent
-// path: a first fused replay persists derived sidecars next to the
-// capture; a second process (modelled by a fresh cache over the same
-// directory) loads the stream and its views from disk and must still
-// match every policy's direct run bit for bit.
+// path: a first fused replay persists the capture with its derived
+// views as one store file; a second process (modelled by a fresh cache
+// over the same directory) loads the stream and its views from disk,
+// builds nothing, and must still match every policy's direct run bit
+// for bit.
 func TestReplayMultiPersistentWarmEquivalence(t *testing.T) {
 	const instructions = 200000
 	for _, pd := range []int{0, 4} {
@@ -51,14 +53,18 @@ func TestReplayMultiPersistentWarmEquivalence(t *testing.T) {
 			if _, err := ReplayMulti(cold, newPolicies(t, PolicyNames()), cfg); err != nil {
 				t.Fatalf("%s pd=%d cold fused: %v", wname, pd, err)
 			}
-			if n := len(sidecarFiles(t, dir)); n == 0 {
-				t.Fatalf("%s pd=%d: cold fused replay left no derived sidecars", wname, pd)
+			if files := storeFiles(t, dir); len(files) != 1 || len(sectionPayloads(t, files[0])) == 0 {
+				t.Fatalf("%s pd=%d: cold fused replay left %v, want one store file with view sections", wname, pd, files)
 			}
 
 			_, warm := persistentStreamFor(t, dir, wname, cfg)
+			builds0 := derivedBuilds.Value()
 			fused, err := ReplayMulti(warm, newPolicies(t, PolicyNames()), cfg)
 			if err != nil {
 				t.Fatalf("%s pd=%d warm fused: %v", wname, pd, err)
+			}
+			if d := derivedBuilds.Value() - builds0; d != 0 {
+				t.Errorf("%s pd=%d: warm replay built %d views, want 0", wname, pd, d)
 			}
 			want := directResults(t, wname, PolicyNames(), cfg)
 			for i, pname := range PolicyNames() {
@@ -90,47 +96,55 @@ func TestReplayMultiParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplayMultiDerivedCorruptionRecovers: damaged or truncated
-// sidecars must be treated as absent — the views rebuild from the
-// stream and the results do not change.
+// TestReplayMultiDerivedCorruptionRecovers: damaged view sections, or
+// a truncated store file, must be treated as absent — the views rebuild
+// from the stream (recaptured, for the truncated file) and the results
+// do not change.
 func TestReplayMultiDerivedCorruptionRecovers(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(150000)
 	cfg.PrefetchDistance = 4
-	dir := t.TempDir()
-
-	_, cold := persistentStreamFor(t, dir, "sci-002", cfg)
-	want, err := ReplayMulti(cold, newPolicies(t, PolicyNames()), cfg)
-	if err != nil {
-		t.Fatal(err)
+	damage := map[string]func(data []byte, payloads [][2]int) []byte{
+		"bit-damage": func(data []byte, payloads [][2]int) []byte {
+			for _, p := range payloads {
+				data[(p[0]+p[1])/2] ^= 0x40
+			}
+			return data
+		},
+		"truncation": func(data []byte, _ [][2]int) []byte { return data[:len(data)/3] },
 	}
-
-	sidecars := sidecarFiles(t, dir)
-	if len(sidecars) == 0 {
-		t.Fatal("fused replay left no derived sidecars")
-	}
-	for i, p := range sidecars {
-		data, err := os.ReadFile(p)
+	for name, mut := range damage {
+		dir := t.TempDir()
+		_, cold := persistentStreamFor(t, dir, "sci-002", cfg)
+		want, err := ReplayMulti(cold, newPolicies(t, PolicyNames()), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%2 == 0 {
-			data[len(data)/2] ^= 0x40 // bit damage
-		} else {
-			data = data[:len(data)/3] // truncation
+		files := storeFiles(t, dir)
+		if len(files) != 1 {
+			t.Fatalf("fused replay left %v, want one store file", files)
 		}
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+		payloads := sectionPayloads(t, files[0])
+		data, err := os.ReadFile(files[0])
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		if err := os.WriteFile(files[0], mut(data, payloads), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	_, warm := persistentStreamFor(t, dir, "sci-002", cfg)
-	fused, err := ReplayMulti(warm, newPolicies(t, PolicyNames()), cfg)
-	if err != nil {
-		t.Fatalf("fused replay over corrupt sidecars: %v", err)
-	}
-	for i, pname := range PolicyNames() {
-		if fused[i] != want[i] {
-			t.Errorf("%s: replay after sidecar corruption diverged\n before: %+v\n after:  %+v", pname, want[i], fused[i])
+		builds0 := derivedBuilds.Value()
+		_, warm := persistentStreamFor(t, dir, "sci-002", cfg)
+		fused, err := ReplayMulti(warm, newPolicies(t, PolicyNames()), cfg)
+		if err != nil {
+			t.Fatalf("%s: fused replay over a damaged store file: %v", name, err)
+		}
+		if d := derivedBuilds.Value() - builds0; d != uint64(len(payloads)) {
+			t.Errorf("%s: rebuilt %d views, want %d", name, d, len(payloads))
+		}
+		for i, pname := range PolicyNames() {
+			if fused[i] != want[i] {
+				t.Errorf("%s/%s: replay after store damage diverged\n before: %+v\n after:  %+v", name, pname, want[i], fused[i])
+			}
 		}
 	}
 }
@@ -186,21 +200,49 @@ func TestStoreGCDuringReplay(t *testing.T) {
 	}
 }
 
-// storeFiles lists the capture-store files (.l2s and .l2d) in dir.
+// storeFiles lists the capture-store files (.l2s and legacy .l2d) in
+// dir.
 func storeFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	l2s, err := filepath.Glob(filepath.Join(dir, "*.l2s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(l2s, sidecarFiles(t, dir)...)
-}
-
-func sidecarFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.l2d"))
-	if err != nil {
-		t.Fatal(err)
+	var files []string
+	for _, pat := range []string{"*.l2s", "*.l2d"} {
+		m, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
 	}
 	return files
 }
+
+// sectionPayloads returns the byte ranges of a store file's view
+// section payloads, read from its table per the layout documented in
+// internal/l2stream/store.go: a 144-byte header whose uint64s at offset
+// 48 end with body length, table length and section count; then table
+// entries of key length (uint16), key, payload length (uint64) and
+// CRC (uint32); then the payloads in table order.
+func sectionPayloads(t *testing.T, path string) [][2]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 48 + 8*12
+	u := func(i int) int { return int(binary.LittleEndian.Uint64(data[48+8*i:])) }
+	table := data[hdr : hdr+u(10)]
+	off := hdr + u(10)
+	var out [][2]int
+	for i := 0; i < u(11); i++ {
+		k := 2 + int(binary.LittleEndian.Uint16(table))
+		n := int(binary.LittleEndian.Uint64(table[k:]))
+		out = append(out, [2]int{off, off + n})
+		table, off = table[k+12:], off+n
+	}
+	return out
+}
+
+var (
+	derivedBuilds   = obs.Default.Counter("chirp_l2stream_derived_builds_total", "")
+	derivedDiskHits = obs.Default.Counter("chirp_l2stream_derived_disk_hits_total", "")
+	diskWrites      = obs.Default.Counter("chirp_l2stream_cache_disk_writes_total", "")
+)

@@ -15,13 +15,14 @@ import (
 )
 
 // ReplayMulti drives all N policies over a captured stream's derived
-// views: the dense access sequence (PC/VPN/set-index arrays plus the
-// precomputed stride-prefetch fill schedule) is materialized once per
-// (stream, geometry, prefetch distance) and every policy walks it
-// independently; predictive policies additionally consume their
-// precomputed signature sequence (tlb.SignatureFed), so no policy
-// maintains history registers at replay time. Policies are partitioned
-// across min(N, GOMAXPROCS) goroutines sharing the read-only views.
+// views, all obtained by one Stream.Derive before the fan-out: the
+// dense access sequence (PC/VPN/set-index arrays plus the precomputed
+// stride-prefetch fill schedule) for the geometry and prefetch
+// distance, which every policy walks independently, and the signature
+// sequences predictive policies consume (tlb.SignatureFed), so no
+// policy maintains history registers at replay time. Policies are
+// partitioned across min(N, GOMAXPROCS) goroutines sharing the
+// read-only views.
 // Results are bit-identical to calling RunTLBOnly once per policy over
 // the captured trace, in the same order as policies.
 //
@@ -58,15 +59,17 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 		// The same failure RunTLBOnly reports for a too-short trace.
 		return nil, fmt.Errorf("sim: trace ended before warmup boundary (%d < %d instructions)", stream.Instructions(), stream.WarmupAt())
 	}
-	rv, err := replayViewFor(stream, cfg)
+	specs, sigAt := viewSpecs(cfg, policies)
+	views, err := stream.Derive(specs...)
 	if err != nil {
 		return nil, err
 	}
+	rv := views[0].(*replayView)
 
 	out := make([]TLBOnlyResult, len(policies))
 	errs := make([]error, len(policies))
 	runPolicies(workers, len(policies), func(j int) {
-		out[j], errs[j] = replayOne(stream, rv, policies[j], cfg)
+		out[j], errs[j] = replayOne(stream, rv, views[sigAt[j]], policies[j], cfg)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -140,47 +143,27 @@ func runPolicies(workers, n int, job func(j int)) {
 
 // replayOne replays a single policy over the shared derived views:
 // CHiRP and GHRP run in external-signature mode against their
-// precomputed sequences, everything else walks the dense access view
-// alone. The three walkers differ only in the signature feed; folding
-// them into one walker with a per-walk switch on the feed made the
-// CHiRP and GHRP walks measurably slower, so they stay separate.
-func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
+// precomputed sequence sigs, everything else walks the dense access
+// view alone. The three walkers differ only in the signature feed;
+// folding them into one walker with a per-walk switch on the feed made
+// the CHiRP and GHRP walks measurably slower, so they stay separate.
+func replayOne(stream *l2stream.Stream, rv *replayView, sigs any, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
+	t, err := tlb.New(cfg.Hierarchy.L2, p)
+	if err != nil {
+		return TLBOnlyResult{}, err
+	}
+	w := denseWalker{t: t}
 	switch pp := p.(type) {
 	case *core.CHiRP:
-		sigs, err := chirpSigsFor(stream, pp.Config())
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		t, err := tlb.New(cfg.Hierarchy.L2, p)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
 		pp.BeginExternalSignatures()
-		w := denseWalker{t: t}
-		w.walkCHiRP(rv, pp, sigs)
-		return finishReplay(stream, p, t, w.warm), nil
+		w.walkCHiRP(rv, pp, sigs.([]uint32))
 	case *policy.GHRP:
-		sigs, err := ghrpSigsFor(stream)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		t, err := tlb.New(cfg.Hierarchy.L2, p)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
 		pp.BeginExternalSignatures()
-		w := denseWalker{t: t}
-		w.walkGHRP(rv, pp, sigs)
-		return finishReplay(stream, p, t, w.warm), nil
+		w.walkGHRP(rv, pp, sigs.([]uint64))
 	default:
-		t, err := tlb.New(cfg.Hierarchy.L2, p)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		w := denseWalker{t: t}
 		w.walkPlain(rv)
-		return finishReplay(stream, p, t, w.warm), nil
 	}
+	return finishReplay(stream, p, t, w.warm), nil
 }
 
 // finishReplay closes out one policy's replayed TLB: accounting flush,

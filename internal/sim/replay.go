@@ -81,9 +81,9 @@ func StreamVPNs(stream *l2stream.Stream, cfg TLBOnlyConfig) ([]uint64, error) {
 	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
 		return nil, fmt.Errorf("sim: stream captured under %+v cannot serve %+v", got, want)
 	}
-	rv, err := replayViewFor(stream, cfg)
+	rv, err := stream.Derived(replayViewSpec(cfg))
 	if err != nil {
 		return nil, err
 	}
-	return append([]uint64(nil), rv.vpn...), nil
+	return append([]uint64(nil), rv.(*replayView).vpn...), nil
 }
