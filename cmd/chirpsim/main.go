@@ -234,8 +234,9 @@ func run() int {
 	}
 
 	// TLB-only runs capture the policy-invariant L2 event stream once
-	// and replay it under each policy (the timing model needs the full
-	// per-instruction stream, so -timing stays on the direct path).
+	// and replay it under each policy. The timing model needs the full
+	// per-instruction stream, so -timing never captures; it shares one
+	// pipeline pass across the policies instead.
 	var streams *l2stream.Cache
 	if !*timing && *l2cache >= 0 {
 		if *capturedir != "" {
@@ -252,18 +253,23 @@ func run() int {
 	}
 
 	var results []policyRow
-	if streams != nil {
-		// Fused TLB-only path: one engine job captures (or loads) the
-		// stream and replays every policy's TLB in a single pass over
-		// the event view (sim.ReplayMulti). Rows stay in -policies
-		// order, so the first policy remains the comparison baseline.
-		pf := make([]sim.PolicyFactory, len(factories))
-		for i, f := range factories {
-			pf[i] = f.New
-		}
+	if *timing || streams != nil {
+		// Fused path: one engine job runs every policy in a single
+		// pass. Timing drives all L2 TLB policies through one pipeline
+		// machine over one trace (pipeline.NewMulti); TLB-only captures
+		// (or loads) the stream and replays every policy's TLB over the
+		// event view (sim.RunMulti). Rows stay in -policies order, so
+		// the first policy remains the comparison baseline.
 		jobs := []engine.Job[[]policyRow]{{
 			Key: engine.Key{Workload: subject, Policy: strings.Join(names, "+")},
 			Run: func(jctx context.Context) ([]policyRow, error) {
+				if *timing {
+					return timingRows(openSource, factories, pipeline.DefaultConfig(*instr, *penalty))
+				}
+				pf := make([]sim.PolicyFactory, len(factories))
+				for i, f := range factories {
+					pf[i] = f.New
+				}
 				rs, err := sim.RunMulti(jctx, sim.RunSpec{
 					Name:     subject,
 					SpecHash: specHash,
@@ -288,31 +294,15 @@ func run() int {
 		}
 		results = grouped[0]
 	} else {
-		// One engine job per policy; results stay in -policies order.
+		// Capture/replay is off (negative -l2cache): one engine job per
+		// policy, each running the full trace on the direct path;
+		// results stay in -policies order.
 		jobs := make([]engine.Job[policyRow], 0, len(factories))
 		for _, f := range factories {
 			f := f
 			jobs = append(jobs, engine.Job[policyRow]{
 				Key: engine.Key{Workload: subject, Policy: f.Name},
 				Run: func(jctx context.Context) (policyRow, error) {
-					if *timing {
-						src, err := openSource()
-						if err != nil {
-							return policyRow{}, err
-						}
-						m, err := pipeline.New(pipeline.DefaultConfig(*instr, *penalty), f.New(),
-							func() tlb.Policy { return policy.NewLRU() })
-						if err != nil {
-							return policyRow{}, err
-						}
-						res, err := m.Run(src)
-						if err != nil {
-							return policyRow{}, err
-						}
-						return policyRow{MPKI: res.MPKI, IPC: res.IPC, BranchAccuracy: res.BranchAccuracy}, nil
-					}
-					// Capture/replay is off (negative -l2cache): the direct
-					// path runs the full trace per policy.
 					res, err := sim.Run(jctx, sim.RunSpec{
 						Name:     subject,
 						SpecHash: specHash,
@@ -366,6 +356,32 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// timingRows runs one pipeline machine carrying every policy in
+// factories as its L2 TLB policy over one trace.
+func timingRows(open func() (trace.Source, error), factories []sim.NamedFactory, cfg pipeline.Config) ([]policyRow, error) {
+	src, err := open()
+	if err != nil {
+		return nil, err
+	}
+	pols := make([]tlb.Policy, len(factories))
+	for i, f := range factories {
+		pols[i] = f.New()
+	}
+	m, err := pipeline.NewMulti(cfg, pols, func() tlb.Policy { return policy.NewLRU() })
+	if err != nil {
+		return nil, err
+	}
+	rs, err := m.RunMulti(src)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]policyRow, len(rs))
+	for i, res := range rs {
+		rows[i] = policyRow{MPKI: res.MPKI, IPC: res.IPC, BranchAccuracy: res.BranchAccuracy}
+	}
+	return rows, nil
 }
 
 // policyRow is one rendered measurement; exported fields so it

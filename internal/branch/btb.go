@@ -1,11 +1,14 @@
 package branch
 
+import "math/bits"
+
 // BTB is a set-associative branch target buffer (4K entries in Table
 // II) with LRU replacement.
 type BTB struct {
 	entries int
 	ways    int
 	sets    int
+	setBits uint // log2(sets): the tag is the line above the set index
 	tags    []uint64
 	targets []uint64
 	valid   []bool
@@ -26,6 +29,7 @@ func NewBTB(entries, ways int) *BTB {
 	}
 	b := &BTB{
 		entries: entries, ways: ways, sets: sets,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
 		tags:    make([]uint64, entries),
 		targets: make([]uint64, entries),
 		valid:   make([]bool, entries),
@@ -41,7 +45,7 @@ func NewBTB(entries, ways int) *BTB {
 
 func (b *BTB) index(pc uint64) (set int, tag uint64) {
 	line := pc >> 2
-	return int(line & uint64(b.sets-1)), line >> uint(log2(b.sets))
+	return int(line & uint64(b.sets-1)), line >> b.setBits
 }
 
 func (b *BTB) touch(base, way int) {
@@ -108,14 +112,6 @@ func (b *BTB) HitRatio() float64 {
 		return 0
 	}
 	return float64(b.hits) / float64(b.lookups)
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 // Indirect predicts indirect-branch targets from a hash of the PC and

@@ -55,8 +55,10 @@ type Space struct {
 func NewSpace(policy AllocPolicy, seed uint64) *Space {
 	_ = seed // reserved for future randomized allocators
 	s := &Space{
-		policy:  policy,
-		mapping: make(map[uint64]uint64, 1<<16),
+		policy: policy,
+		// Start small: a map grows as pages are touched, and most
+		// address spaces never reach tens of thousands of pages.
+		mapping: make(map[uint64]uint64, 1<<12),
 		// Data frames start high so they never collide with page-table
 		// node frames.
 		nextPPN:  1 << 24,

@@ -88,102 +88,178 @@ type Result struct {
 	DRAMAccesses   uint64
 }
 
-// Machine is one assembled simulated core; build with New, drive with
-// Run.
+// Machine is one assembled simulated core; build with New (one L2 TLB
+// policy) or NewMulti (several), drive with Run or RunMulti.
+//
+// A machine with several L2 TLB policies simulates them all in one
+// pass over one trace. Generation, the L1 TLBs, the frame lookup, the
+// cache stack and the branch unit run once per record and are shared;
+// each policy owns its L2 TLB, its walker and the cycles its
+// translations cost. Sharing is exact under the fixed-penalty walker:
+// the L1 TLBs are filled on every L1 miss whatever the L2 TLB did,
+// frames are allocated at a page's first touch (a miss under every
+// policy), and a walk touches no cache. None of that holds for the
+// radix walker, whose PTE fetches go through the cache stack, so a
+// radix machine takes exactly one policy.
 type Machine struct {
-	cfg    Config
-	mem    *mem.Hierarchy
-	l1i    *tlb.TLB
-	l1d    *tlb.TLB
+	cfg   Config
+	mem   *mem.Hierarchy
+	l1i   *tlb.TLB
+	l1d   *tlb.TLB
+	lanes []lane
+	obs   []tlb.BranchObserver // the lanes' policies that watch branches
+	space *paging.Space
+	pred  *branch.Perceptron
+	btb   *branch.BTB
+	ind   *branch.Indirect
+
+	// l1a and l2a are translate's probe records. They live here rather
+	// than on translate's stack because the policy interface calls
+	// would move stack copies to the heap on every probe.
+	l1a, l2a tlb.Access
+}
+
+// lane is one L2 TLB policy's private share of a machine.
+type lane struct {
 	l2     *tlb.TLB
-	l2pol  tlb.Policy
-	bo     tlb.BranchObserver
-	hasBO  bool
-	space  *paging.Space
+	pol    tlb.Policy
 	walker paging.Walker
-	pred   *branch.Perceptron
-	btb    *branch.BTB
-	ind    *branch.Indirect
+	// cycles is the translation time charged to this policy alone: the
+	// L2 TLB hit latency on every L1 miss plus its own walks.
+	cycles uint64
+	// warmCycles and warmMisses latch cycles and L2 misses at the end
+	// of warmup.
+	warmCycles, warmMisses uint64
 }
 
 // New assembles a machine around the injected L2 TLB policy. The L1
 // TLBs always run LRU, matching the paper's setup.
 func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine, error) {
+	return NewMulti(cfg, []tlb.Policy{l2Policy}, l1Factory)
+}
+
+// NewMulti assembles one machine that runs every policy in l2Policies
+// as its L2 TLB policy in a single pass (see Machine). It rejects more
+// than one policy under UseRadixWalker.
+func NewMulti(cfg Config, l2Policies []tlb.Policy, l1Factory func() tlb.Policy) (*Machine, error) {
 	if l1Factory == nil {
 		return nil, fmt.Errorf("pipeline: nil L1 policy factory")
+	}
+	if len(l2Policies) == 0 {
+		return nil, fmt.Errorf("pipeline: no L2 TLB policy")
+	}
+	if cfg.UseRadixWalker && len(l2Policies) > 1 {
+		return nil, fmt.Errorf("pipeline: the radix walker's PTE fetches make the cache state policy-dependent; run one machine per policy (%d given)", len(l2Policies))
 	}
 	h, err := mem.NewHierarchy(cfg.Mem)
 	if err != nil {
 		return nil, err
 	}
-	l1i, err := tlb.New(cfg.L1ITLB, l1Factory())
+	var built []*tlb.TLB
+	newTLB := func(c tlb.Config, p tlb.Policy) (*tlb.TLB, error) {
+		t, err := tlb.New(c, p)
+		if err != nil {
+			for _, b := range built {
+				b.Release()
+			}
+			return nil, err
+		}
+		built = append(built, t)
+		return t, nil
+	}
+	l1i, err := newTLB(cfg.L1ITLB, l1Factory())
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := tlb.New(cfg.L1DTLB, l1Factory())
+	l1d, err := newTLB(cfg.L1DTLB, l1Factory())
 	if err != nil {
-		l1i.Release()
-		return nil, err
-	}
-	l2, err := tlb.New(cfg.L2TLB, l2Policy)
-	if err != nil {
-		l1i.Release()
-		l1d.Release()
 		return nil, err
 	}
 	space := paging.NewSpace(cfg.Alloc, 1)
-	var walker paging.Walker
-	if cfg.UseRadixWalker {
-		// PTE fetches enter the hierarchy at the unified L2 cache, as
-		// hardware walkers do.
-		walker = paging.NewRadixWalker(space, h.L2, cfg.PSC)
-	} else {
-		walker = paging.NewFixedWalker(space, cfg.WalkPenalty)
-	}
 	m := &Machine{
-		cfg: cfg, mem: h, l1i: l1i, l1d: l1d, l2: l2, l2pol: l2Policy,
-		space: space, walker: walker,
-		pred: branch.NewPerceptron(branch.DefaultPerceptronConfig()),
-		btb:  branch.NewBTB(4096, 4),
-		ind:  branch.NewIndirect(4096),
+		cfg: cfg, mem: h, l1i: l1i, l1d: l1d, space: space,
+		lanes: make([]lane, len(l2Policies)),
+		pred:  branch.NewPerceptron(branch.DefaultPerceptronConfig()),
+		btb:   branch.NewBTB(4096, 4),
+		ind:   branch.NewIndirect(4096),
 	}
-	m.bo, m.hasBO = l2Policy.(tlb.BranchObserver)
+	for i, p := range l2Policies {
+		l2, err := newTLB(cfg.L2TLB, p)
+		if err != nil {
+			return nil, err
+		}
+		ln := &m.lanes[i]
+		ln.l2, ln.pol = l2, p
+		if cfg.UseRadixWalker {
+			// PTE fetches enter the hierarchy at the unified L2 cache,
+			// as hardware walkers do.
+			ln.walker = paging.NewRadixWalker(space, h.L2, cfg.PSC)
+		} else {
+			ln.walker = paging.NewFixedWalker(space, cfg.WalkPenalty)
+		}
+		if bo, ok := p.(tlb.BranchObserver); ok {
+			m.obs = append(m.obs, bo)
+		}
+	}
 	return m, nil
 }
 
-// translate resolves va through the two-level TLB hierarchy, returning
-// the physical address and the translation cycles beyond an L1 TLB
-// hit.
-func (m *Machine) translate(l1 *tlb.TLB, pc, va uint64, instr bool) (pa uint64, cycles uint64) {
-	vpn := va >> m.cfg.L2TLB.PageShift
-	a := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
-	if ppn, hit := l1.Lookup(&a); hit {
-		return ppn<<m.cfg.L2TLB.PageShift | va&0xfff, 0
+// translate resolves va through the two-level TLB hierarchy and
+// returns the physical address. An L1 miss probes (and on a miss
+// fills) every lane's L2 TLB, charging each lane its own latency;
+// all lanes agree on the frame, since frames belong to the shared
+// address space.
+func (m *Machine) translate(l1 *tlb.TLB, pc, va uint64, instr bool) (pa uint64) {
+	shift := m.cfg.L2TLB.PageShift
+	vpn := va >> shift
+	m.l1a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+	if ppn, hit := l1.Lookup(&m.l1a); hit {
+		return ppn<<shift | va&0xfff
 	}
-	a2 := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
-	if ppn, hit := m.l2.Lookup(&a2); hit {
-		l1.Insert(&a, ppn)
-		return ppn<<m.cfg.L2TLB.PageShift | va&0xfff, m.cfg.L2TLBHitLatency
+	var ppn uint64
+	for i := range m.lanes {
+		ln := &m.lanes[i]
+		m.l2a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+		p, hit := ln.l2.Lookup(&m.l2a)
+		ln.cycles += m.cfg.L2TLBHitLatency
+		if !hit {
+			var walkCycles uint64
+			p, walkCycles = ln.walker.Walk(vpn)
+			ln.cycles += walkCycles
+			ln.l2.Insert(&m.l2a, p)
+		}
+		ppn = p
 	}
-	ppn, walkCycles := m.walker.Walk(vpn)
-	m.l2.Insert(&a2, ppn)
-	l1.Insert(&a, ppn)
-	return ppn<<m.cfg.L2TLB.PageShift | va&0xfff, m.cfg.L2TLBHitLatency + walkCycles
+	l1.Insert(&m.l1a, ppn)
+	return ppn<<shift | va&0xfff
 }
 
 // Run drives src to completion (or the configured budget) and returns
-// the post-warmup result.
+// the post-warmup result of a one-policy machine.
 func (m *Machine) Run(src trace.Source) (Result, error) {
+	if len(m.lanes) != 1 {
+		return Result{}, fmt.Errorf("pipeline: Run on a %d-policy machine; use RunMulti", len(m.lanes))
+	}
+	rs, err := m.RunMulti(src)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
+// RunMulti drives src to completion (or the configured budget) and
+// returns one post-warmup result per L2 TLB policy, in the order the
+// machine was built with.
+func (m *Machine) RunMulti(src trace.Source) ([]Result, error) {
 	var (
 		instructions uint64
-		cycles       uint64
+		cycles       uint64 // shared by every lane; lanes add their own
 		rec          trace.Record
 
 		warmupAt  = uint64(float64(m.cfg.Instructions) * m.cfg.WarmupFraction)
 		warmed    = warmupAt == 0
 		warmInstr uint64
 		warmCyc   uint64
-		warmMiss  uint64
 	)
 	l1iLat := m.cfg.Mem.L1I.LatencyCycles
 	l1dLat := m.cfg.Mem.L1D.LatencyCycles
@@ -195,20 +271,21 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 		if !warmed && instructions >= warmupAt {
 			warmed = true
 			warmInstr, warmCyc = instructions, cycles
-			warmMiss = m.l2.Stats().Misses
+			for i := range m.lanes {
+				ln := &m.lanes[i]
+				ln.warmCycles, ln.warmMisses = ln.cycles, ln.l2.Stats().Misses
+			}
 		}
 
 		// Fetch: translation plus i-cache beyond the pipelined L1 hit.
-		pa, tcyc := m.translate(m.l1i, rec.PC, rec.PC, true)
-		cycles += tcyc
+		pa := m.translate(m.l1i, rec.PC, rec.PC, true)
 		if fl := m.mem.FetchLatency(pa); fl > l1iLat {
 			cycles += fl - l1iLat
 		}
 
 		switch {
 		case rec.Class.IsMemory():
-			pa, tcyc := m.translate(m.l1d, rec.PC, rec.EA, false)
-			cycles += tcyc
+			pa := m.translate(m.l1d, rec.PC, rec.EA, false)
 			if dl := m.mem.DataLatency(pa, rec.Class == trace.ClassStore); dl > l1dLat {
 				cycles += dl - l1dLat
 			}
@@ -226,8 +303,8 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 			if rec.Taken {
 				m.btb.Update(rec.PC, rec.Target)
 			}
-			if m.hasBO {
-				m.bo.OnBranch(rec.PC, true, false, rec.Taken, rec.Target)
+			for _, bo := range m.obs {
+				bo.OnBranch(rec.PC, true, false, rec.Taken, rec.Target)
 			}
 		case rec.Class == trace.ClassUncondDirect:
 			target, btbHit := m.btb.Lookup(rec.PC)
@@ -235,8 +312,8 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 				cycles += m.cfg.MispredictPenalty
 			}
 			m.btb.Update(rec.PC, rec.Target)
-			if m.hasBO {
-				m.bo.OnBranch(rec.PC, false, false, true, rec.Target)
+			for _, bo := range m.obs {
+				bo.OnBranch(rec.PC, false, false, true, rec.Target)
 			}
 		case rec.Class == trace.ClassUncondIndirect:
 			target, hit := m.ind.Predict(rec.PC)
@@ -244,8 +321,8 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 				cycles += m.cfg.MispredictPenalty
 			}
 			m.ind.Update(rec.PC, rec.Target)
-			if m.hasBO {
-				m.bo.OnBranch(rec.PC, false, true, true, rec.Target)
+			for _, bo := range m.obs {
+				bo.OnBranch(rec.PC, false, true, true, rec.Target)
 			}
 		}
 
@@ -254,40 +331,45 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 		}
 	}
 	if !warmed {
-		return Result{}, fmt.Errorf("pipeline: trace ended before warmup (%d < %d instructions)", instructions, warmupAt)
+		return nil, fmt.Errorf("pipeline: trace ended before warmup (%d < %d instructions)", instructions, warmupAt)
 	}
 
-	m.l2.FlushAccounting()
-	st := m.l2.Stats()
-	res := Result{
-		Policy:         m.l2pol.Name(),
-		Instructions:   instructions - warmInstr,
-		Cycles:         cycles - warmCyc,
-		L2TLBMisses:    st.Misses - warmMiss,
-		L2TLBStats:     st,
-		Efficiency:     st.Efficiency(),
-		BranchAccuracy: m.pred.Accuracy(),
-		BTBHitRatio:    m.btb.HitRatio(),
-		IndirectHit:    m.ind.HitRatio(),
-		PageFaults:     m.space.PageFaults(),
-		DRAMAccesses:   m.mem.DRAM.Accesses(),
+	rs := make([]Result, len(m.lanes))
+	for i := range m.lanes {
+		ln := &m.lanes[i]
+		ln.l2.FlushAccounting()
+		st := ln.l2.Stats()
+		res := Result{
+			Policy:         ln.pol.Name(),
+			Instructions:   instructions - warmInstr,
+			Cycles:         cycles + ln.cycles - (warmCyc + ln.warmCycles),
+			L2TLBMisses:    st.Misses - ln.warmMisses,
+			L2TLBStats:     st,
+			Efficiency:     st.Efficiency(),
+			BranchAccuracy: m.pred.Accuracy(),
+			BTBHitRatio:    m.btb.HitRatio(),
+			IndirectHit:    m.ind.HitRatio(),
+			PageFaults:     m.space.PageFaults(),
+			DRAMAccesses:   m.mem.DRAM.Accesses(),
+		}
+		if res.Cycles > 0 {
+			res.IPC = float64(res.Instructions) / float64(res.Cycles)
+		}
+		if res.Instructions > 0 {
+			res.MPKI = float64(res.L2TLBMisses) / (float64(res.Instructions) / 1000)
+		}
+		switch w := ln.walker.(type) {
+		case *paging.FixedWalker:
+			res.PageWalks = w.Walks()
+			res.AvgWalkCycles = float64(m.cfg.WalkPenalty)
+		case *paging.RadixWalker:
+			walks, _, _, _ := w.Stats()
+			res.PageWalks = walks
+			res.AvgWalkCycles = w.AverageLatency()
+		}
+		rs[i] = res
 	}
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	if res.Instructions > 0 {
-		res.MPKI = float64(res.L2TLBMisses) / (float64(res.Instructions) / 1000)
-	}
-	switch w := m.walker.(type) {
-	case *paging.FixedWalker:
-		res.PageWalks = w.Walks()
-		res.AvgWalkCycles = float64(m.cfg.WalkPenalty)
-	case *paging.RadixWalker:
-		walks, _, _, _ := w.Stats()
-		res.PageWalks = walks
-		res.AvgWalkCycles = w.AverageLatency()
-	}
-	return res, nil
+	return rs, nil
 }
 
 // fetchWrongPath models the fetches issued down the wrong path before
@@ -313,6 +395,3 @@ func (m *Machine) fetchWrongPath(pc, target uint64, taken bool) {
 
 // Mem exposes the cache hierarchy (for reports and tests).
 func (m *Machine) Mem() *mem.Hierarchy { return m.mem }
-
-// L2TLB exposes the second-level TLB (for reports and tests).
-func (m *Machine) L2TLB() *tlb.TLB { return m.l2 }

@@ -95,7 +95,7 @@ func replayable(p tlb.Policy) bool {
 // only synchronization is the shared work counter and the final join.
 // A panicking worker stops pulling jobs; its panic value is re-raised
 // on the caller's goroutine after the join, preserving the caller's
-// recover semantics (suite.go's protectMulti).
+// recover semantics (suite.go's guard).
 func runPolicies(workers, n int, job func(j int)) {
 	if workers > n {
 		workers = n

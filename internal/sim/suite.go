@@ -109,129 +109,169 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // runSuiteFused is the capture/replay suite path: one engine job per
 // workload captures (or reuses) the stream and replays every policy in
 // a single fused pass (ReplayMulti), instead of len(pols) jobs that
-// each re-walk the derived views. Results keep the workload-major,
-// policy-minor order the per-cell path guarantees, and a failed
-// workload still leaves its policy rows in place (zero-valued) so
-// callers indexing cell (i, j) stay correct.
-//
-// Checkpoint keys are per fused job — Policy is the "+"-joined policy
-// list — so a resumed run re-replays a half-finished workload instead
-// of trusting partial rows (replays are cheap; captures are what the
-// persistent cache tier saves).
+// each re-walk the derived views.
 func runSuiteFused(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, cache *l2stream.Cache, opts SuiteOptions) ([]SuiteResult, error) {
 	factories := make([]PolicyFactory, len(pols))
+	for i, p := range pols {
+		factories[i] = p.New
+	}
+	row := func(w *workloads.Workload, res TLBOnlyResult, name string) SuiteResult {
+		res.Policy = name
+		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}
+	}
+	return fusedSuite(ctx, ws, pols, opts,
+		func(ctx context.Context, w *workloads.Workload) ([]SuiteResult, error) {
+			rs, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
+			rows := make([]SuiteResult, len(rs))
+			for i := range rs {
+				rows[i] = row(w, rs[i], pols[i].Name)
+			}
+			return rows, err
+		},
+		func(ctx context.Context, w *workloads.Workload, p NamedFactory) (SuiteResult, error) {
+			// Solo runs reuse the already captured stream.
+			res, err := Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
+			return row(w, res, p.Name), err
+		})
+}
+
+// fusedSuite schedules one engine job per workload. A job runs multi,
+// a single pass producing one row per policy; if that pass fails — one
+// broken policy errors or panics mid-run, which necessarily takes the
+// whole pass down — the job degrades to solo, one run per policy, so
+// every healthy policy still delivers its row and the error blames the
+// precise (workload, policy) cell, exactly as per-cell scheduling
+// would. Panics are converted here rather than by the engine, whose
+// recovery would blame the whole fused key.
+//
+// Results keep the workload-major, policy-minor order of per-cell
+// scheduling, and a failed workload still leaves its policy rows in
+// place (zero-valued where a policy failed) so callers indexing cell
+// (i, j) stay correct. Checkpoint keys are per fused job — Policy is
+// the "+"-joined policy list — so a resumed run reruns a half-finished
+// workload instead of trusting partial rows.
+func fusedSuite[R any](ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, opts SuiteOptions,
+	multi func(ctx context.Context, w *workloads.Workload) ([]R, error),
+	solo func(ctx context.Context, w *workloads.Workload, p NamedFactory) (R, error)) ([]R, error) {
 	names := make([]string, len(pols))
 	for i, p := range pols {
-		factories[i], names[i] = p.New, p.Name
+		names[i] = p.Name
 	}
 	joined := strings.Join(names, "+")
-	jobs := make([]engine.Job[[]SuiteResult], 0, len(ws))
+	jobs := make([]engine.Job[[]R], 0, len(ws))
 	for _, w := range ws {
 		w := w
-		jobs = append(jobs, engine.Job[[]SuiteResult]{
+		jobs = append(jobs, engine.Job[[]R]{
 			Key: engine.Key{Scope: opts.Scope, Workload: w.Name, Policy: joined},
-			Run: func(ctx context.Context) ([]SuiteResult, error) {
-				return runWorkloadFused(ctx, w, pols, factories, cfg, cache, opts.Scope)
+			Run: func(ctx context.Context) ([]R, error) {
+				rows, err := guard(func() ([]R, error) { return multi(ctx, w) })
+				if err == nil {
+					return rows, nil
+				}
+				return soloCells(ctx, w, pols, opts.Scope, err, solo)
 			},
 		})
 	}
 	grouped, err := engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
-	flat := make([]SuiteResult, 0, len(ws)*len(pols))
+	flat := make([]R, 0, len(ws)*len(pols))
 	for _, rows := range grouped {
 		if rows == nil {
-			rows = make([]SuiteResult, len(pols))
+			rows = make([]R, len(pols))
 		}
 		flat = append(flat, rows...)
 	}
 	return flat, err
 }
 
-// runWorkloadFused runs one workload's fused job. The fast path is a
-// single ReplayMulti pass. If that pass fails — one broken policy
-// errors or panics mid-event, which necessarily takes the whole fused
-// group down — the job degrades to solo per-policy runs over the
-// (already captured) stream, so every healthy policy still delivers
-// its row and the error blames the precise (workload, policy) cell,
-// exactly as the per-cell scheduling used to. The returned rows
-// accompany the error; the engine keeps both.
-func runWorkloadFused(ctx context.Context, w *workloads.Workload, pols []NamedFactory, factories []PolicyFactory, cfg TLBOnlyConfig, cache *l2stream.Cache, scope string) ([]SuiteResult, error) {
-	row := func(res TLBOnlyResult, name string) SuiteResult {
-		res.Policy = name
-		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}
-	}
-	rs, err := protectMulti(ctx, w, factories, cfg, cache)
-	if err == nil {
-		rows := make([]SuiteResult, len(rs))
-		for i := range rs {
-			rows[i] = row(rs[i], pols[i].Name)
-		}
-		return rows, nil
-	}
-
-	rows := make([]SuiteResult, len(pols))
+// soloCells is a fused job's fallback after its single pass failed
+// with fusedErr: it reruns each policy alone and blames the first that
+// fails by its own key. The returned rows accompany the error; the
+// engine keeps both.
+func soloCells[R any](ctx context.Context, w *workloads.Workload, pols []NamedFactory, scope string, fusedErr error,
+	solo func(ctx context.Context, w *workloads.Workload, p NamedFactory) (R, error)) ([]R, error) {
+	rows := make([]R, len(pols))
 	var firstErr error
 	for i, p := range pols {
-		res, rerr := protectCell(ctx, w, p, cfg, cache)
-		if rerr != nil {
+		res, err := guard(func() (R, error) { return solo(ctx, w, p) })
+		if err != nil {
 			if firstErr == nil {
 				firstErr = &engine.JobError{
 					Key: engine.Key{Scope: scope, Workload: w.Name, Policy: p.Name},
-					Err: rerr,
+					Err: err,
 				}
 			}
 			continue
 		}
-		rows[i] = row(res, p.Name)
+		rows[i] = res
 	}
 	if firstErr == nil {
 		// The fused pass failed but every solo rerun passed (a capture
 		// error that resolved, or a flaky policy): report the original
 		// failure rather than pretending it did not happen.
-		firstErr = fmt.Errorf("%s: fused replay failed (solo reruns passed): %w", w.Name, err)
+		firstErr = fmt.Errorf("%s: fused run failed (solo reruns passed): %w", w.Name, fusedErr)
 	}
 	return rows, firstErr
 }
 
-// protectMulti runs the fused pass, converting a policy panic into an
-// error so the job can fall back to solo runs instead of relying on
-// the engine's recovery (which would blame the whole fused key).
-func protectMulti(ctx context.Context, w *workloads.Workload, factories []PolicyFactory, cfg TLBOnlyConfig, cache *l2stream.Cache) (rs []TLBOnlyResult, err error) {
+// guard runs f with the same panic conversion the engine applies, so a
+// fused job's blame carries the panic value and stack.
+func guard[T any](f func() (T, error)) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
-}
-
-// protectCell runs one (workload, policy) cell solo with the same
-// panic conversion the engine applies, so the fallback's blame carries
-// the panic value and stack.
-func protectCell(ctx context.Context, w *workloads.Workload, p NamedFactory, cfg TLBOnlyConfig, cache *l2stream.Cache) (res TLBOnlyResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
+	return f()
 }
 
 // RunSuiteTimingCtx measures each workload under each policy with the
 // full timing model, with the same engine semantics as
-// RunSuiteTLBOnlyCtx.
+// RunSuiteTLBOnlyCtx. Under the fixed-penalty walker one engine job per
+// workload drives every policy through a single pipeline pass
+// (pipeline.NewMulti), with fusedSuite's checkpoint keys and per-cell
+// failure blame. The radix walker's cache traffic depends on the
+// policy, so under it each (workload, policy) cell is its own job and
+// machine.
 func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, opts SuiteOptions) ([]TimingResult, error) {
-	jobs := suiteJobs(ws, pols, opts.Scope, func(_ context.Context, w *workloads.Workload, p NamedFactory) (TimingResult, error) {
-		m, err := pipeline.New(cfg, p.New(), func() tlb.Policy { return policy.NewLRU() })
+	cell := func(_ context.Context, w *workloads.Workload, p NamedFactory) (TimingResult, error) {
+		rs, err := runTiming(w, []NamedFactory{p}, cfg)
 		if err != nil {
-			return TimingResult{}, fmt.Errorf("%s/%s: %w", w.Name, p.Name, err)
+			return TimingResult{}, err
 		}
-		src := trace.NewLimit(w.Source(), cfg.Instructions)
-		res, err := m.Run(src)
-		if err != nil {
-			return TimingResult{}, fmt.Errorf("%s/%s: %w", w.Name, p.Name, err)
-		}
-		res.Policy = p.Name
-		return TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}, nil
-	})
-	return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
+		return rs[0], nil
+	}
+	if cfg.UseRadixWalker {
+		jobs := suiteJobs(ws, pols, opts.Scope, cell)
+		return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
+	}
+	return fusedSuite(ctx, ws, pols, opts,
+		func(_ context.Context, w *workloads.Workload) ([]TimingResult, error) { return runTiming(w, pols, cfg) },
+		cell)
+}
+
+// runTiming runs w through one pipeline machine carrying every policy
+// in pols as its L2 TLB policy, returning one row per policy.
+func runTiming(w *workloads.Workload, pols []NamedFactory, cfg pipeline.Config) ([]TimingResult, error) {
+	names := make([]string, len(pols))
+	policies := make([]tlb.Policy, len(pols))
+	for i, p := range pols {
+		names[i], policies[i] = p.Name, p.New()
+	}
+	fail := func(err error) ([]TimingResult, error) {
+		return nil, fmt.Errorf("%s/%s: %w", w.Name, strings.Join(names, "+"), err)
+	}
+	m, err := pipeline.NewMulti(cfg, policies, func() tlb.Policy { return policy.NewLRU() })
+	if err != nil {
+		return fail(err)
+	}
+	rs, err := m.RunMulti(trace.NewLimit(w.Source(), cfg.Instructions))
+	if err != nil {
+		return fail(err)
+	}
+	rows := make([]TimingResult, len(rs))
+	for i, res := range rs {
+		res.Policy = names[i]
+		rows[i] = TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}
+	}
+	return rows, nil
 }
