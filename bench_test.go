@@ -418,11 +418,12 @@ func BenchmarkStreamDecode(b *testing.B) {
 }
 
 // BenchmarkSweepPolicies is the headline comparison: multi-policy
-// suite sweeps with capture/replay on versus off. The ratio of each
-// pair of sub-benchmark times is the wall-clock speedup chirpsweep
-// sees for that policy set. Each capture-replay iteration builds its
-// own stream cache, so it pays every capture and decode — nothing is
-// amortized across iterations.
+// suite sweeps through capture/replay versus the direct reference
+// driver (sim.RunTLBOnly per cell). The ratio of each pair of
+// sub-benchmark times is the wall-clock speedup capture/replay gives
+// that policy set. Each capture-replay iteration builds its own stream
+// cache, so it pays every capture and decode — nothing is amortized
+// across iterations.
 func BenchmarkSweepPolicies(b *testing.B) {
 	sets := []struct {
 		name     string
@@ -443,10 +444,20 @@ func BenchmarkSweepPolicies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run := func(b *testing.B, budget int64) {
+		b.Run(set.name+"/direct", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs, err := sim.RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
-					sim.SuiteOptions{Workers: 1, StreamBudget: budget})
+				for _, w := range ws {
+					for _, p := range pols {
+						if _, err := sim.RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), p.New(), cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
+		b.Run(set.name+"/capture-replay", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rs, err := sim.RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, sim.SuiteOptions{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -454,9 +465,7 @@ func BenchmarkSweepPolicies(b *testing.B) {
 					b.Fatalf("got %d results", len(rs))
 				}
 			}
-		}
-		b.Run(set.name+"/direct", func(b *testing.B) { run(b, -1) })
-		b.Run(set.name+"/capture-replay", func(b *testing.B) { run(b, 0) })
+		})
 	}
 }
 
@@ -525,7 +534,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rs, err := sim.RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
-					sim.SuiteOptions{Workers: workers, StreamBudget: 0})
+					sim.SuiteOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,326 +12,112 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"github.com/chirplab/chirp/internal/engine"
+	"github.com/chirplab/chirp/cmd/internal/cli"
 	"github.com/chirplab/chirp/internal/experiments"
-	"github.com/chirplab/chirp/internal/l2stream"
-	"github.com/chirplab/chirp/internal/obs"
-	"github.com/chirplab/chirp/internal/workloads"
-	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
-type runner struct {
-	name string
-	desc string
-	run  func(experiments.Options) error
+// report adapts an experiment that returns a result to a runner: run
+// it, then render the result.
+func report[T interface{ Write(io.Writer) error }](f func(experiments.Options) (T, error)) func(experiments.Options, io.Writer) error {
+	return func(o experiments.Options, w io.Writer) error {
+		r, err := f(o)
+		if err != nil {
+			return err
+		}
+		return r.Write(w)
+	}
 }
 
-func main() { os.Exit(run()) }
+var runners = []struct {
+	name, desc string
+	run        func(experiments.Options, io.Writer) error
+}{
+	{"fig1", "TLB efficiency heat map (§VI-D)", report(experiments.Fig1)},
+	{"fig2", "speedup vs PC history length (§III)", report(experiments.Fig2)},
+	{"fig3", "ADALINE PC-bit salience (§III-A)", report(experiments.Fig3)},
+	{"fig6", "feature/optimisation ablation (§III)", report(experiments.Fig6)},
+	{"fig7", "MPKI S-curve and averages (§VI-A)", report(experiments.Fig7)},
+	{"fig8", "speedup at the headline walk penalty (§VI-C)", report(experiments.Fig8)},
+	{"fig9", "prediction-table size sweep (§VI-F)", report(experiments.Fig9)},
+	{"fig10", "speedup vs walk penalty (§VI-C)", report(experiments.Fig10)},
+	{"fig11", "prediction-table access-rate density (§VI-B)", report(experiments.Fig11)},
+	{"table1", "CHiRP storage budget", report(experiments.Table1)},
+	{"table2", "simulation parameters", experiments.Table2},
+	{"opt", "Bélády OPT upper bound (extension X1)", report(experiments.OptBound)},
+	{"walker", "radix page-walker vs fixed penalty (extension X2)", report(experiments.Walker)},
+	{"baselines", "extended baseline comparison (extension X3)", report(experiments.Baselines)},
+	{"mixed", "mixed 4KB/2MB page sizes (extension X4)", report(experiments.Mixed)},
+	{"consolidated", "ASID-tagged consolidation (extension X5)", report(experiments.Consolidated)},
+	{"prefetch", "sequential prefetch × replacement (extension X6)", report(experiments.Prefetch)},
+	{"categories", "per-category MPKI breakdown", report(experiments.Categories)},
+}
 
-func run() int {
-	exp := flag.String("exp", "fig7", "experiment id (or comma list, or 'all')")
-	n := flag.Int("n", 0, "suite prefix size (0 = full 870-workload suite)")
-	workloadSpec := flag.String("workload-spec", "", "workload spec (registry name or JSON file) replacing the built-in suite; -n still selects a prefix of its compiled workloads")
-	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
-	instr := flag.Uint64("instr", 2_000_000, "instructions per trace")
-	penalty := flag.Uint64("penalty", 150, "L2 TLB miss penalty in cycles for timing experiments")
-	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB, shared across the selected experiments (0 = 96 MiB default, negative = per-experiment caches only)")
-	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here with their derived views, one content-addressed file per capture, and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used store files (one per capture, holding its derived views; files of older codec versions count too) are evicted to stay under it (0 = unbounded)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file: completed (workload, policy) runs are restored from it and new ones appended, so a killed sweep resumes where it stopped")
-	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
-	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")
-	progress := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 10s; 0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *workloadSpec == "" {
-		fmt.Fprintln(os.Stderr, "chirpexp: -seed requires -workload-spec")
-		return 2
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("chirpexp", stderr, cli.Prefix|cli.Penalty|cli.Streams|cli.Telemetry, cli.Defaults{Instr: 2_000_000, N: 0})
+	exp := c.Flags.String("exp", "fig7", "experiment id (or comma list, or 'all')")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	var suite []*workloads.Workload
-	specLabel := ""
-	if *workloadSpec != "" {
-		s, err := spec.Resolve(*workloadSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 2
-		}
-		compiled, err := spec.Compile(s, spec.Options{Seed: *seed, SeedSet: seedSet})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 2
-		}
-		suite = compiled.Workloads()
-		specLabel = compiled.Hash
+	want := map[string]bool{}
+	known := map[string]bool{}
+	for _, r := range runners {
+		known[r.name] = true
+		want[r.name] = *exp == "all"
 	}
-
-	// Ctrl-C / SIGTERM stop dispatching new simulations, drain the
-	// in-flight ones and leave the checkpoint resumable.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	stopProf, err := engine.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
+	if *exp != "all" {
+		for _, name := range strings.Split(*exp, ",") {
+			name = strings.TrimSpace(name)
+			if !known[name] {
+				return c.Usage("unknown experiment %q", name)
+			}
+			want[name] = true
 		}
-	}()
+	}
 
 	// The same fingerprint guards the checkpoint and names the manifest
 	// run: resumed rows must be exchangeable with fresh ones. The
 	// experiment list is deliberately excluded: scopes already namespace
 	// per-experiment keys, so one file covers any subset of `-exp all`.
-	meta := fmt.Sprintf("chirpexp n=%d instr=%d penalty=%d spec=%s", *n, *instr, *penalty, specLabel)
-
-	if *metricsAddr != "" {
-		bound, stopMetrics, err := obs.Serve(*metricsAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 1
-		}
-		defer stopMetrics()
-		fmt.Fprintf(os.Stderr, "chirpexp: metrics on http://%s/metrics\n", bound)
+	specLabel := ""
+	if c.Compiled != nil {
+		specLabel = c.Compiled.Hash
 	}
-
+	env, teardown, err := c.Start(fmt.Sprintf("chirpexp n=%d instr=%d penalty=%d spec=%s", c.N, c.Instr, c.Penalty, specLabel), true)
+	if err != nil {
+		return c.Fail(err)
+	}
+	defer teardown()
+	// One shared stream cache means `-exp all` captures each workload's
+	// L2 event stream once across every MPKI experiment.
 	o := experiments.Options{
-		Workloads:    *n,
-		Suite:        suite,
-		Instructions: *instr,
-		WalkPenalty:  *penalty,
-		Workers:      *workers,
-		Ctx:          ctx,
+		Workloads:    c.N,
+		Suite:        c.Suite(),
+		Instructions: c.Instr,
+		WalkPenalty:  c.Penalty,
+		Workers:      c.Workers,
+		Ctx:          env.Ctx,
+		Sink:         env.Sink,
+		Checkpoint:   env.Checkpoint,
+		StreamCache:  env.Streams,
 	}
-	var sinks []engine.Sink
-	if *manifest != "" {
-		man, err := obs.OpenManifest(*manifest, obs.Default, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := man.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			}
-		}()
-		sinks = append(sinks, engine.ManifestSink(man))
-	}
-	if *l2cache >= 0 {
-		// One shared stream cache means `-exp all` captures each
-		// workload's L2 event stream once across every MPKI experiment
-		// (the experiments own per-call caches when this is nil). With
-		// -capturedir the captures also persist on disk, so a re-run
-		// (or another process) skips the capture passes entirely.
-		var streams *l2stream.Cache
-		if *capturedir != "" {
-			var err error
-			streams, err = l2stream.NewPersistent(*l2cache<<20, *capturedir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-				return 1
-			}
-			streams.SetStoreMaxBytes(*capturedirMax)
-		} else {
-			streams = l2stream.NewCache(*l2cache << 20)
-		}
-		defer streams.Close()
-		o.StreamCache = streams
-	}
-	if *progress > 0 {
-		sinks = append(sinks, engine.NewReporter(os.Stderr, *progress))
-	}
-	if len(sinks) > 0 {
-		o.Sink = engine.MultiSink(sinks...)
-	}
-	if *checkpoint != "" {
-		ck, err := engine.Open(*checkpoint, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 1
-		}
-		defer ck.Close()
-		o.Checkpoint = ck
-	}
-
-	out := os.Stdout
-	runners := []runner{
-		{"fig1", "TLB efficiency heat map (§VI-D)", func(o experiments.Options) error {
-			r, err := experiments.Fig1(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig2", "speedup vs PC history length (§III)", func(o experiments.Options) error {
-			r, err := experiments.Fig2(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig3", "ADALINE PC-bit salience (§III-A)", func(o experiments.Options) error {
-			r, err := experiments.Fig3(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig6", "feature/optimisation ablation (§III)", func(o experiments.Options) error {
-			r, err := experiments.Fig6(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig7", "MPKI S-curve and averages (§VI-A)", func(o experiments.Options) error {
-			r, err := experiments.Fig7(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig8", "speedup at the headline walk penalty (§VI-C)", func(o experiments.Options) error {
-			r, err := experiments.Fig8(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig9", "prediction-table size sweep (§VI-F)", func(o experiments.Options) error {
-			r, err := experiments.Fig9(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig10", "speedup vs walk penalty (§VI-C)", func(o experiments.Options) error {
-			r, err := experiments.Fig10(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig11", "prediction-table access-rate density (§VI-B)", func(o experiments.Options) error {
-			r, err := experiments.Fig11(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"table1", "CHiRP storage budget", func(o experiments.Options) error {
-			r, err := experiments.Table1(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"table2", "simulation parameters", func(o experiments.Options) error {
-			return experiments.Table2(o, out)
-		}},
-		{"opt", "Bélády OPT upper bound (extension X1)", func(o experiments.Options) error {
-			r, err := experiments.OptBound(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"walker", "radix page-walker vs fixed penalty (extension X2)", func(o experiments.Options) error {
-			r, err := experiments.Walker(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"baselines", "extended baseline comparison (extension X3)", func(o experiments.Options) error {
-			r, err := experiments.Baselines(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"mixed", "mixed 4KB/2MB page sizes (extension X4)", func(o experiments.Options) error {
-			r, err := experiments.Mixed(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"consolidated", "ASID-tagged consolidation (extension X5)", func(o experiments.Options) error {
-			r, err := experiments.Consolidated(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"prefetch", "sequential prefetch × replacement (extension X6)", func(o experiments.Options) error {
-			r, err := experiments.Prefetch(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"categories", "per-category MPKI breakdown", func(o experiments.Options) error {
-			r, err := experiments.Categories(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-	}
-
-	want := map[string]bool{}
-	if *exp == "all" {
-		for _, r := range runners {
-			want[r.name] = true
-		}
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-	}
-	known := map[string]bool{}
-	for _, r := range runners {
-		known[r.name] = true
-	}
-	for name := range want {
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "chirpexp: unknown experiment %q\n", name)
-			return 2
-		}
-	}
-
 	for _, r := range runners {
 		if !want[r.name] {
 			continue
 		}
 		start := time.Now()
-		fmt.Fprintf(out, "== %s: %s ==\n", r.name, r.desc)
-		if err := r.run(o); err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %s: %v\n", r.name, err)
-			return 1
+		fmt.Fprintf(stdout, "== %s: %s ==\n", r.name, r.desc)
+		if err := r.run(o, stdout); err != nil {
+			return c.Fail(fmt.Errorf("%s: %w", r.name, err))
 		}
-		fmt.Fprintf(out, "-- %s done in %v --\n\n", r.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "-- %s done in %v --\n\n", r.name, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

@@ -21,16 +21,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"github.com/chirplab/chirp/cmd/internal/cli"
 	"github.com/chirplab/chirp/internal/engine"
-	"github.com/chirplab/chirp/internal/l2stream"
-	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
@@ -41,288 +38,138 @@ import (
 	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	workload := flag.String("workload", "", "suite workload name (e.g. db-000)")
-	workloadSpec := flag.String("workload-spec", "", "workload spec: a built-in registry name (e.g. \"default\") or a JSON spec file; its compiled workloads replace the built-in suite")
-	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
-	traceFile := flag.String("trace", "", "binary trace file (alternative to -workload)")
-	policies := flag.String("policies", "lru,random,srrip,ship,ghrp,chirp", "comma-separated policy list")
-	instr := flag.Uint64("instr", 2_000_000, "instruction budget")
-	timing := flag.Bool("timing", false, "run the full timing model (IPC) instead of TLB-only")
-	penalty := flag.Uint64("penalty", 150, "L2 TLB miss penalty in cycles (timing mode)")
-	list := flag.Bool("list", false, "list policies and suite workloads, then exit")
-	describe := flag.Bool("describe", false, "print the workload's program model as JSON and exit")
-	workers := flag.Int("workers", 0, "parallel policy runs (0 = GOMAXPROCS)")
-	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB for TLB-only runs: the trace is generated and L1-filtered once and replayed per policy (0 = 96 MiB default, negative = disable capture/replay)")
-	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here with their derived views, one content-addressed file per capture, and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used store files (one per capture, holding its derived views; files of older codec versions count too) are evicted to stay under it (0 = unbounded)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file; completed policies are restored, not re-run")
-	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
-	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")
-	progress := flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-
-	// Master-seed supremacy needs set-detection, not just a value: an
-	// explicit `-seed 0` must still override the document's seed.
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *workloadSpec == "" {
-		fatal("-seed requires -workload-spec (suite workload seeds are part of their identity)")
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("chirpsim", stderr, cli.Workload|cli.Penalty|cli.Streams|cli.Telemetry, cli.Defaults{Instr: 2_000_000})
+	traceFile := c.Flags.String("trace", "", "binary trace file (alternative to -workload)")
+	policies := c.Flags.String("policies", "lru,random,srrip,ship,ghrp,chirp", "comma-separated policy list")
+	timing := c.Flags.Bool("timing", false, "run the full timing model (IPC) instead of TLB-only")
+	list := c.Flags.Bool("list", false, "list policies and suite workloads, then exit")
+	describe := c.Flags.Bool("describe", false, "print the workload's program model as JSON and exit")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	var compiled *spec.Compiled
-	if *workloadSpec != "" {
-		if *traceFile != "" {
-			fatal("-workload-spec and -trace are mutually exclusive")
-		}
-		s, err := spec.Resolve(*workloadSpec)
-		if err != nil {
-			fatal("%v", err)
-		}
-		compiled, err = spec.Compile(s, spec.Options{Seed: *seed, SeedSet: seedSet})
-		if err != nil {
-			fatal("%v", err)
-		}
+	if c.Compiled != nil && *traceFile != "" {
+		return c.Usage("-workload-spec and -trace are mutually exclusive")
 	}
-	// lookup resolves a workload name against the compiled spec when
-	// one is loaded, the built-in suite otherwise.
-	lookup := func(name string) *workloads.Workload {
-		if compiled != nil {
-			return compiled.ByName(name)
-		}
-		return workloads.ByName(name)
-	}
-	// resolve picks the run subject: a named workload, or the spec's
-	// combined population when -workload is omitted.
-	resolve := func() *workloads.Workload {
-		if *workload != "" {
-			w := lookup(*workload)
-			if w == nil {
-				fatal("unknown workload %q (try -list)", *workload)
-			}
-			return w
-		}
-		if compiled != nil && compiled.Combined() != nil {
-			return compiled.Combined()
-		}
-		return nil
-	}
-
-	if *describe {
-		w := resolve()
-		if w == nil {
-			fatal("-describe requires -workload (or a -workload-spec with clients)")
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(w.Describe()); err != nil {
-			fatal("%v", err)
-		}
-		return 0
-	}
-
 	if *list {
-		fmt.Println("policies:", strings.Join(sim.PolicyNames(), " "))
-		if compiled != nil {
-			fmt.Printf("workloads of spec %s (hash %s, seed %d):\n", compiled.Spec.Name, compiled.Hash, compiled.Seed)
-			for _, w := range compiled.Workloads() {
-				fmt.Printf("  %s (%s, %s)\n", w.Name, w.Category, w.Profile())
+		fmt.Fprintln(stdout, "policies:", strings.Join(sim.PolicyNames(), " "))
+		if c.Compiled != nil {
+			fmt.Fprintf(stdout, "workloads of spec %s (hash %s, seed %d):\n", c.Compiled.Spec.Name, c.Compiled.Hash, c.Compiled.Seed)
+			for _, w := range c.Compiled.Workloads() {
+				fmt.Fprintf(stdout, "  %s (%s, %s)\n", w.Name, w.Category, w.Profile())
 			}
 			return 0
 		}
-		fmt.Println("workloads: the 870-entry suite, named <category>-<index>:")
-		fmt.Println("  categories:", strings.Join(workloads.Categories, " "))
-		fmt.Println("  e.g. spec-000 … spec-108, db-000 …, crypto-000 …")
-		fmt.Println("specs: built-in", strings.Join(spec.Names(), " "), "or a JSON file via -workload-spec")
+		fmt.Fprintln(stdout, "workloads: the 870-entry suite, named <category>-<index>:")
+		fmt.Fprintln(stdout, "  categories:", strings.Join(workloads.Categories, " "))
+		fmt.Fprintln(stdout, "  e.g. spec-000 … spec-108, db-000 …, crypto-000 …")
+		fmt.Fprintln(stdout, "specs: built-in", strings.Join(spec.Names(), " "), "or a JSON file via -workload-spec")
 		return 0
 	}
 
-	// Validate the flag set before any resources (profile, checkpoint)
-	// are open: fatal() bypasses their deferred teardown.
+	// The run subject: a named workload, or the spec's combined
+	// population when -workload is omitted.
+	var w *workloads.Workload
+	switch {
+	case c.Workload != "":
+		if w = c.Lookup(c.Workload); w == nil {
+			return c.Usage("unknown workload %q (try -list)", c.Workload)
+		}
+	case c.Compiled != nil:
+		w = c.Compiled.Combined()
+	}
+
+	if *describe {
+		if w == nil {
+			return c.Usage("-describe requires -workload (or a -workload-spec with clients)")
+		}
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(w.Describe()); err != nil {
+			return c.Fail(err)
+		}
+		return 0
+	}
+
 	names := strings.Split(*policies, ",")
 	for i, name := range names {
 		names[i] = strings.TrimSpace(name)
 	}
 	factories, err := sim.Factories(names)
 	if err != nil {
-		fatal("%v", err)
+		return c.Usage("%v", err)
 	}
-	w := resolve()
 	subject := *traceFile
 	specHash := ""
 	switch {
 	case w != nil:
 		subject = w.Name
 		specHash = w.SpecHash
-	case *traceFile != "":
-	default:
-		fatal("one of -workload, -workload-spec or -trace is required (see -list)")
+	case *traceFile == "":
+		return c.Usage("one of -workload, -workload-spec or -trace is required (see -list)")
 	}
 	openSource := func() (trace.Source, error) {
 		if w != nil {
-			return trace.NewLimit(w.Source(), *instr), nil
+			return trace.NewLimit(w.Source(), c.Instr), nil
 		}
 		fs, err := trace.OpenFile(*traceFile)
 		if err != nil {
 			return nil, err
 		}
-		return trace.NewLimit(fs, *instr), nil
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	stopProf, err := engine.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-		}
-	}()
-	meta := fmt.Sprintf("chirpsim workload=%s trace=%s spec=%s instr=%d timing=%v penalty=%d",
-		subject, *traceFile, specHash, *instr, *timing, *penalty)
-
-	if *metricsAddr != "" {
-		bound, stopMetrics, err := obs.Serve(*metricsAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-			return 1
-		}
-		defer stopMetrics()
-		fmt.Fprintf(os.Stderr, "chirpsim: metrics on http://%s/metrics\n", bound)
-	}
-
-	cfg := engine.Config{Workers: *workers}
-	var sinks []engine.Sink
-	if *progress > 0 {
-		sinks = append(sinks, engine.NewReporter(os.Stderr, *progress))
-	}
-	if *manifest != "" {
-		man, err := obs.OpenManifest(*manifest, obs.Default, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := man.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-			}
-		}()
-		sinks = append(sinks, engine.ManifestSink(man))
-	}
-	if len(sinks) > 0 {
-		cfg.Sink = engine.MultiSink(sinks...)
-	}
-	if *checkpoint != "" {
-		ck, err := engine.Open(*checkpoint, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-			return 1
-		}
-		defer ck.Close()
-		cfg.Checkpoint = ck
+		return trace.NewLimit(fs, c.Instr), nil
 	}
 
 	// TLB-only runs capture the policy-invariant L2 event stream once
 	// and replay it under each policy. The timing model needs the full
 	// per-instruction stream, so -timing never captures; it shares one
 	// pipeline pass across the policies instead.
-	var streams *l2stream.Cache
-	if !*timing && *l2cache >= 0 {
-		if *capturedir != "" {
-			streams, err = l2stream.NewPersistent(*l2cache<<20, *capturedir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-				return 1
-			}
-			streams.SetStoreMaxBytes(*capturedirMax)
-		} else {
-			streams = l2stream.NewCache(*l2cache << 20)
-		}
-		defer streams.Close()
+	env, teardown, err := c.Start(fmt.Sprintf("chirpsim workload=%s trace=%s spec=%s instr=%d timing=%v penalty=%d",
+		subject, *traceFile, specHash, c.Instr, *timing, c.Penalty), !*timing)
+	if err != nil {
+		return c.Fail(err)
 	}
+	defer teardown()
 
-	var results []policyRow
-	if *timing || streams != nil {
-		// Fused path: one engine job runs every policy in a single
-		// pass. Timing drives all L2 TLB policies through one pipeline
-		// machine over one trace (pipeline.NewMulti); TLB-only captures
-		// (or loads) the stream and replays every policy's TLB over the
-		// event view (sim.RunMulti). Rows stay in -policies order, so
-		// the first policy remains the comparison baseline.
-		jobs := []engine.Job[[]policyRow]{{
-			Key: engine.Key{Workload: subject, Policy: strings.Join(names, "+")},
-			Run: func(jctx context.Context) ([]policyRow, error) {
-				if *timing {
-					return timingRows(openSource, factories, pipeline.DefaultConfig(*instr, *penalty))
-				}
-				pf := make([]sim.PolicyFactory, len(factories))
-				for i, f := range factories {
-					pf[i] = f.New
-				}
-				rs, err := sim.RunMulti(jctx, sim.RunSpec{
-					Name:     subject,
-					SpecHash: specHash,
-					Open:     openSource,
-					Config:   sim.DefaultTLBOnlyConfig(*instr),
-					Cache:    streams,
-				}, pf)
-				if err != nil {
-					return nil, err
-				}
-				rows := make([]policyRow, len(rs))
-				for i, res := range rs {
-					rows[i] = policyRow{MPKI: res.MPKI, Efficiency: res.Efficiency, TableRate: res.TableAccessRate}
-				}
-				return rows, nil
-			},
-		}}
-		grouped, err := engine.Run(ctx, jobs, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-			return 1
-		}
-		results = grouped[0]
-	} else {
-		// Capture/replay is off (negative -l2cache): one engine job per
-		// policy, each running the full trace on the direct path;
-		// results stay in -policies order.
-		jobs := make([]engine.Job[policyRow], 0, len(factories))
-		for _, f := range factories {
-			f := f
-			jobs = append(jobs, engine.Job[policyRow]{
-				Key: engine.Key{Workload: subject, Policy: f.Name},
-				Run: func(jctx context.Context) (policyRow, error) {
-					res, err := sim.Run(jctx, sim.RunSpec{
-						Name:     subject,
-						SpecHash: specHash,
-						Open:     openSource,
-						Policy:   f.New,
-						Config:   sim.DefaultTLBOnlyConfig(*instr),
-					})
-					if err != nil {
-						return policyRow{}, err
-					}
-					return policyRow{MPKI: res.MPKI, Efficiency: res.Efficiency, TableRate: res.TableAccessRate}, nil
-				},
-			})
-		}
-		results, err = engine.Run(ctx, jobs, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-			return 1
-		}
+	// One engine job runs every policy in a single pass. Timing drives
+	// all L2 TLB policies through one pipeline machine over one trace
+	// (pipeline.NewMulti); TLB-only captures (or loads) the stream and
+	// replays every policy's TLB over the event view (sim.RunMulti).
+	// Rows stay in -policies order, so the first policy remains the
+	// comparison baseline.
+	jobs := []engine.Job[[]policyRow]{{
+		Key: engine.Key{Workload: subject, Policy: strings.Join(names, "+")},
+		Run: func(jctx context.Context) ([]policyRow, error) {
+			if *timing {
+				return timingRows(openSource, factories, pipeline.DefaultConfig(c.Instr, c.Penalty))
+			}
+			pf := make([]sim.PolicyFactory, len(factories))
+			for i, f := range factories {
+				pf[i] = f.New
+			}
+			rs, err := sim.RunMulti(jctx, sim.RunSpec{
+				Name:     subject,
+				SpecHash: specHash,
+				Open:     openSource,
+				Config:   sim.DefaultTLBOnlyConfig(c.Instr),
+				Cache:    env.Streams,
+			}, pf)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([]policyRow, len(rs))
+			for i, res := range rs {
+				rows[i] = policyRow{MPKI: res.MPKI, Efficiency: res.Efficiency, TableRate: res.TableAccessRate}
+			}
+			return rows, nil
+		},
+	}}
+	grouped, err := engine.Run(env.Ctx, jobs, engine.Config{Workers: c.Workers, Sink: env.Sink, Checkpoint: env.Checkpoint})
+	if err != nil {
+		return c.Fail(err)
 	}
+	results := grouped[0]
 
 	var rows [][]string
 	base := results[0]
@@ -347,13 +194,12 @@ func run() int {
 		}
 	}
 	if *timing {
-		err = stats.Table(os.Stdout, []string{"policy", "MPKI", "vs first", "IPC", "speedup", "branch acc"}, rows)
+		err = stats.Table(stdout, []string{"policy", "MPKI", "vs first", "IPC", "speedup", "branch acc"}, rows)
 	} else {
-		err = stats.Table(os.Stdout, []string{"policy", "MPKI", "vs first", "efficiency", "table rate"}, rows)
+		err = stats.Table(stdout, []string{"policy", "MPKI", "vs first", "efficiency", "table rate"}, rows)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
-		return 1
+		return c.Fail(err)
 	}
 	return 0
 }
@@ -392,9 +238,4 @@ type policyRow struct {
 	Efficiency     float64
 	TableRate      float64
 	BranchAccuracy float64
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chirpsim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -8,75 +8,57 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 
+	"github.com/chirplab/chirp/cmd/internal/cli"
 	"github.com/chirplab/chirp/internal/engine"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
-	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	workload := flag.String("workload", "", "suite workload to materialise")
-	workloadSpec := flag.String("workload-spec", "", "workload spec (registry name or JSON file); -workload then names one of its compiled workloads, -all materialises them all")
-	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
-	out := flag.String("o", "", "output file (default <workload>.chtr)")
-	all := flag.Bool("all", false, "materialise a suite prefix instead of one workload")
-	n := flag.Int("n", 8, "suite prefix size with -all")
-	dir := flag.String("dir", ".", "output directory with -all")
-	instr := flag.Uint64("instr", 1_000_000, "instructions per trace")
-	workers := flag.Int("workers", 0, "parallel trace writers with -all (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file with -all; already-written traces are skipped on resume")
-	progress := flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	flag.Parse()
-
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *workloadSpec == "" {
-		fmt.Fprintln(os.Stderr, "tracegen: -seed requires -workload-spec")
-		return 2
-	}
-	var compiled *spec.Compiled
-	if *workloadSpec != "" {
-		s, err := spec.Resolve(*workloadSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 2
-		}
-		compiled, err = spec.Compile(s, spec.Options{Seed: *seed, SeedSet: seedSet})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 2
-		}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("tracegen", stderr, cli.Workload|cli.Prefix, cli.Defaults{Instr: 1_000_000, N: 8})
+	out := c.Flags.String("o", "", "output file (default <workload>.chtr)")
+	all := c.Flags.Bool("all", false, "materialise a suite prefix (-n) instead of one workload")
+	dir := c.Flags.String("dir", ".", "output directory with -all")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	if *cpuprofile != "" {
-		stopProf, err := engine.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 1
+	var w *workloads.Workload
+	switch {
+	case *all:
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
+			return c.Fail(err)
 		}
-		defer stopProf()
+	case c.Workload != "":
+		if w = c.Lookup(c.Workload); w == nil {
+			return c.Usage("unknown workload %q", c.Workload)
+		}
+		// A checkpoint row stands for a file of the -all run; a single
+		// trace always rewrites its -o file.
+		c.Checkpoint = ""
+	default:
+		return c.Usage("-workload or -all is required")
 	}
+
+	// A checkpointed row stands in for the file it describes: resume
+	// trusts that a recorded trace is already on disk and skips
+	// regenerating it.
+	env, teardown, err := c.Start(fmt.Sprintf("tracegen n=%d instr=%d dir=%s", c.N, c.Instr, *dir), false)
+	if err != nil {
+		return c.Fail(err)
+	}
+	defer teardown()
 
 	write := func(w *workloads.Workload, path string) (traceSummary, error) {
-		records, instructions, err := trace.WriteFile(path, trace.NewLimit(w.Source(), *instr))
+		records, instructions, err := trace.WriteFile(path, trace.NewLimit(w.Source(), c.Instr))
 		if err != nil {
 			return traceSummary{}, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -87,36 +69,9 @@ func run() int {
 		return traceSummary{Path: path, Records: records, Instructions: instructions, Bytes: fi.Size()}, nil
 	}
 
-	switch {
-	case *all:
-		if err := os.MkdirAll(*dir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 1
-		}
-		cfg := engine.Config{Workers: *workers}
-		if *progress > 0 {
-			cfg.Sink = engine.NewReporter(os.Stderr, *progress)
-		}
-		if *checkpoint != "" {
-			// A checkpointed row stands in for the file it describes:
-			// resume trusts that a recorded trace is already on disk and
-			// skips regenerating it.
-			meta := fmt.Sprintf("tracegen n=%d instr=%d dir=%s", *n, *instr, *dir)
-			ck, err := engine.Open(*checkpoint, meta)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-				return 1
-			}
-			defer ck.Close()
-			cfg.Checkpoint = ck
-		}
-		ws := workloads.SuiteN(*n)
-		if compiled != nil {
-			ws = compiled.Workloads()
-			if *n > 0 && *n < len(ws) {
-				ws = ws[:*n]
-			}
-		}
+	var results []traceSummary
+	if *all {
+		ws := c.Suite()
 		jobs := make([]engine.Job[traceSummary], 0, len(ws))
 		for _, w := range ws {
 			w := w
@@ -127,38 +82,21 @@ func run() int {
 				},
 			})
 		}
-		results, err := engine.Run(ctx, jobs, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 1
-		}
-		for _, s := range results {
-			fmt.Printf("%s: %d records, %d instructions, %d bytes\n", s.Path, s.Records, s.Instructions, s.Bytes)
-		}
-	case *workload != "":
-		var w *workloads.Workload
-		if compiled != nil {
-			w = compiled.ByName(*workload)
-		} else {
-			w = workloads.ByName(*workload)
-		}
-		if w == nil {
-			fmt.Fprintf(os.Stderr, "tracegen: unknown workload %q\n", *workload)
-			return 1
-		}
+		results, err = engine.Run(env.Ctx, jobs, engine.Config{Workers: c.Workers, Sink: env.Sink, Checkpoint: env.Checkpoint})
+	} else {
 		path := *out
 		if path == "" {
 			path = fileName(w.Name)
 		}
-		s, err := write(w, path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 1
-		}
-		fmt.Printf("%s: %d records, %d instructions, %d bytes\n", s.Path, s.Records, s.Instructions, s.Bytes)
-	default:
-		fmt.Fprintln(os.Stderr, "tracegen: -workload or -all is required")
-		return 2
+		var s traceSummary
+		s, err = write(w, path)
+		results = []traceSummary{s}
+	}
+	if err != nil {
+		return c.Fail(err)
+	}
+	for _, s := range results {
+		fmt.Fprintf(stdout, "%s: %d records, %d instructions, %d bytes\n", s.Path, s.Records, s.Instructions, s.Bytes)
 	}
 	return 0
 }

@@ -80,6 +80,7 @@ func Open(path, meta string) (*Checkpoint, error) {
 	if hdr.Meta != meta {
 		return nil, fmt.Errorf("checkpoint %s was written by a different run (its meta %q, this run %q); use a fresh file or matching parameters", path, hdr.Meta, meta)
 	}
+	torn := false
 	for n, line := range lines[1:] {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -87,7 +88,8 @@ func Open(path, meta string) (*Checkpoint, error) {
 		var row checkpointRow
 		if err := json.Unmarshal(line, &row); err != nil {
 			if n == len(lines)-2 {
-				break // truncated final line from a killed writer
+				torn = true // truncated final line from a killed writer
+				break
 			}
 			return nil, fmt.Errorf("checkpoint %s: corrupt row %d: %w", path, n+2, err)
 		}
@@ -96,6 +98,18 @@ func Open(path, meta string) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	// The next Put must start on a fresh line: cut a torn final row
+	// off, or end a complete final line whose newline was lost.
+	switch last := lines[len(lines)-1]; {
+	case torn:
+		err = f.Truncate(int64(len(data) - len(last)))
+	case len(last) > 0:
+		_, err = f.Write([]byte("\n"))
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("checkpoint %s: repairing torn tail: %w", path, err)
 	}
 	c.f = f
 	return c, nil

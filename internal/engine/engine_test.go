@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,6 +253,90 @@ func TestCheckpointTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornTailResume is kill → resume → complete → resume:
+// rows appended after a resume that dropped a torn tail must land on
+// lines of their own, so the next resume reads them all.
+func TestCheckpointTornTailResume(t *testing.T) {
+	path := t.TempDir() + "/run.ckpt"
+	ck, err := Open(path, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Put(Key{Workload: "a", Policy: "p"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"key":{"workload":"b","pol`) // killed mid-write, no newline
+	f.Close()
+
+	ck, err = Open(path, "m")
+	if err != nil {
+		t.Fatalf("resume over a torn tail: %v", err)
+	}
+	for i, w := range []string{"b", "c"} {
+		if err := ck.Put(Key{Workload: w, Policy: "p"}, i+2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck.Close()
+
+	ck, err = Open(path, "m")
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	defer ck.Close()
+	for i, w := range []string{"a", "b", "c"} {
+		var v int
+		if ok, err := ck.Get(Key{Workload: w, Policy: "p"}, &v); !ok || err != nil || v != i+1 {
+			t.Errorf("Get(%s/p) = %v %v %v, want %d", w, ok, err, v, i+1)
+		}
+	}
+}
+
+// FuzzCheckpointOpen feeds Open arbitrary file contents. Open must not
+// panic; when it accepts a file, a Put must follow, and a reopen must
+// then succeed and hold exactly the accepted rows plus the new one.
+func FuzzCheckpointOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := Open(path, "m")
+		if err != nil {
+			return
+		}
+		want := make(map[Key]json.RawMessage, len(ck.done)+1)
+		for k, v := range ck.done {
+			want[k] = v
+		}
+		put := Key{Scope: "fuzz", Workload: "put", Policy: "p"}
+		if err := ck.Put(put, 42); err != nil {
+			t.Fatal(err)
+		}
+		ck.Close()
+		want[put] = json.RawMessage("42")
+
+		ck, err = Open(path, "m")
+		if err != nil {
+			t.Fatalf("reopen after Put: %v", err)
+		}
+		defer ck.Close()
+		if len(ck.done) != len(want) {
+			t.Fatalf("reopen holds %d rows, want %d", len(ck.done), len(want))
+		}
+		for k, v := range want {
+			if got, ok := ck.done[k]; !ok || !bytes.Equal(got, v) {
+				t.Errorf("row %s: reopened %q (present %v), accepted %q", k, got, ok, v)
+			}
+		}
+	})
+}
+
 func TestReporterLines(t *testing.T) {
 	var buf strings.Builder
 	r := NewReporter(&buf, time.Hour) // no periodic ticks; just start/end lines
@@ -283,42 +370,5 @@ func TestParallelRace(t *testing.T) {
 	}
 	if len(res) != 64 || c.Done.Load() != 64 {
 		t.Errorf("parallel run incomplete: %d results, %d done", len(res), c.Done.Load())
-	}
-}
-
-func TestStartProfilesWritesBothFiles(t *testing.T) {
-	dir := t.TempDir()
-	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
-	stop, err := StartProfiles(cpu, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burn a little CPU and heap so the profiles have content.
-	sink := make([]byte, 0, 1<<16)
-	for i := 0; i < 1000; i++ {
-		sink = append(sink, byte(i))
-	}
-	_ = sink
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{cpu, mem} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile %s missing: %v", p, err)
-		}
-		if st.Size() == 0 {
-			t.Errorf("profile %s is empty", p)
-		}
-	}
-}
-
-func TestStartProfilesNoOp(t *testing.T) {
-	stop, err := StartProfiles("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop(); err != nil {
-		t.Errorf("no-op stop returned %v", err)
 	}
 }

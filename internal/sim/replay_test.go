@@ -327,10 +327,17 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 	if cache.Len() != len(ws) {
 		t.Errorf("cache holds %d streams, want one per workload (%d)", cache.Len(), len(ws))
 	}
-	// Direct path (replay disabled) must agree cell by cell.
-	direct, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{StreamBudget: -1})
-	if err != nil {
-		t.Fatal(err)
+	// The direct reference driver must agree cell by cell.
+	var direct []SuiteResult
+	for _, w := range ws {
+		for _, p := range pols {
+			res, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), p.New(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Policy = p.Name
+			direct = append(direct, SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res})
+		}
 	}
 	if len(withCache) != len(direct) {
 		t.Fatalf("result counts differ: %d vs %d", len(withCache), len(direct))

@@ -50,18 +50,15 @@ type SuiteOptions struct {
 	// across suite invocations, so repeated calls that differ only in
 	// the L2 policy, L2 geometry, or prefetch distance capture each
 	// workload once total. When nil, the TLB-only runner owns a
-	// per-call cache (released on return) so the per-workload capture
-	// is still shared across this call's policies.
+	// per-call cache with the default budget (released on return) so
+	// the per-workload capture is still shared across this call's
+	// policies.
 	StreamCache *l2stream.Cache
-	// StreamBudget is the byte budget of the owned per-call cache
-	// (0 = l2stream.DefaultBudget). A negative budget disables
-	// capture/replay entirely: every (workload, policy) cell runs the
-	// direct RunTLBOnly path. Ignored when StreamCache is set.
-	StreamBudget int64
 }
 
 // suiteJobs builds one engine job per (workload, policy) pair, in
-// workload-major order — the result ordering both runners guarantee.
+// workload-major order — the result ordering every suite runner
+// guarantees.
 func suiteJobs[T any](ws []*workloads.Workload, pols []NamedFactory, scope string,
 	run func(ctx context.Context, w *workloads.Workload, p NamedFactory) (T, error)) []engine.Job[T] {
 	jobs := make([]engine.Job[T], 0, len(ws)*len(pols))
@@ -78,39 +75,20 @@ func suiteJobs[T any](ws []*workloads.Workload, pols []NamedFactory, scope strin
 }
 
 // RunSuiteTLBOnlyCtx measures each workload under each policy with
-// the fast TLB-only driver, fanning (workload, policy) pairs across
-// the engine's worker pool. Results are ordered by workload then
-// policy. On failure (including a panicking policy, which surfaces as
-// an error naming its pair instead of crashing the process) the
-// completed results are still returned — and still checkpointed, when
+// the fast TLB-only driver: one engine job per workload captures (or
+// reuses) the L2 event stream and replays every policy in a single
+// fused pass (ReplayMulti), with the workloads fanned across the
+// engine's worker pool. Results are ordered by workload then policy.
+// On failure (including a panicking policy, which surfaces as an error
+// naming its pair instead of crashing the process) the completed
+// results are still returned — and still checkpointed, when
 // opts.Checkpoint is set.
 func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	cache := opts.StreamCache
-	if cache == nil && opts.StreamBudget >= 0 {
-		cache = l2stream.NewCache(opts.StreamBudget)
+	if cache == nil {
+		cache = l2stream.NewCache(0)
 		defer cache.Close()
 	}
-	if cache != nil {
-		return runSuiteFused(ctx, ws, pols, cfg, cache, opts)
-	}
-	jobs := suiteJobs(ws, pols, opts.Scope, func(ctx context.Context, w *workloads.Workload, p NamedFactory) (SuiteResult, error) {
-		// Direct mode (capture/replay disabled): every cell is its own
-		// full trace run through the one Run entry point.
-		res, err := Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg})
-		if err != nil {
-			return SuiteResult{}, fmt.Errorf("%s/%s: %w", w.Name, p.Name, err)
-		}
-		res.Policy = p.Name
-		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}, nil
-	})
-	return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
-}
-
-// runSuiteFused is the capture/replay suite path: one engine job per
-// workload captures (or reuses) the stream and replays every policy in
-// a single fused pass (ReplayMulti), instead of len(pols) jobs that
-// each re-walk the derived views.
-func runSuiteFused(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, cache *l2stream.Cache, opts SuiteOptions) ([]SuiteResult, error) {
 	factories := make([]PolicyFactory, len(pols))
 	for i, p := range pols {
 		factories[i] = p.New

@@ -174,11 +174,13 @@ func Suite() []*Workload { return SuiteN(SuiteSize) }
 // SuiteN returns the first n workloads of the interleaved default
 // suite (n ≤ SuiteSize recommended but not required; the naming scheme
 // extends indefinitely). It is a thin wrapper over CompileSuite of the
-// default declaration.
+// default declaration, and panics when n is negative: callers validate
+// sizes that come from outside the program.
 func SuiteN(n int) []*Workload {
 	ws, err := CompileSuite(SuiteSpec{Size: n}, 0, "")
 	if err != nil {
-		// Unreachable: the default categories always compile.
+		// The default categories always compile, so the only error is
+		// a negative n.
 		panic(err)
 	}
 	return ws
