@@ -99,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// L2 event stream once across every MPKI experiment.
 	o := experiments.Options{
 		Workloads:    c.N,
-		Suite:        c.Suite(),
 		Instructions: c.Instr,
 		WalkPenalty:  c.Penalty,
 		Workers:      c.Workers,
@@ -107,6 +106,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Sink:         env.Sink,
 		Checkpoint:   env.Checkpoint,
 		StreamCache:  env.Streams,
+	}
+	if c.Compiled != nil {
+		// The whole population: experiments take their -n prefix of
+		// it, and Mixed looks past the prefix for eligible workloads.
+		o.Suite = c.Compiled.Workloads()
 	}
 	for _, r := range runners {
 		if !want[r.name] {

@@ -109,6 +109,8 @@ func TestRefusedCommandLines(t *testing.T) {
 		{"-l2cache", "-1"},
 		{"-exp", "fig7,no-such-figure"},
 		{"-seed", "1"},
+		{"-exp", "fig7", "-n", "2", "-instr", "0"},
+		{"-exp", "consolidated", "-instr", "0"},
 	} {
 		if code, stdout, _ := runTool(args...); code != 2 || stdout != "" {
 			t.Errorf("chirpexp %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)

@@ -140,6 +140,7 @@ func TestRefusedCommandLines(t *testing.T) {
 		{"-workload", "no-such-workload"},
 		{"-workload", "db-000", "-policies", "lru,no-such-policy"},
 		{"-workload-spec", "default", "-trace", "t.chtr"},
+		{"-workload", "db-000", "-instr", "0"},
 		{},
 	} {
 		if code, stdout, _ := runTool(args...); code != 2 || stdout != "" {

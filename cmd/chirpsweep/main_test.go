@@ -72,6 +72,7 @@ func TestRefusedCommandLines(t *testing.T) {
 		{"-sweep", "bogus", "-checkpoint", ckpt},
 		{"-l2cache", "-1", "-checkpoint", ckpt},
 		{"-seed", "1", "-checkpoint", ckpt},
+		{"-instr", "0", "-checkpoint", ckpt},
 	} {
 		if code, stdout, _ := runTool(args...); code != 2 || stdout != "" {
 			t.Errorf("chirpsweep %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)

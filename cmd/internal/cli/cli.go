@@ -131,6 +131,8 @@ func (c *Command) Parse(args []string) (code int, ok bool) {
 	switch {
 	case c.seedSet && c.WorkloadSpec == "":
 		return c.Usage("-seed requires -workload-spec (suite workload seeds are part of their identity)"), false
+	case c.Instr == 0:
+		return c.Usage("-instr must be positive"), false
 	case c.N < 0:
 		return c.Usage("-n must not be negative"), false
 	case c.L2Cache < 0:

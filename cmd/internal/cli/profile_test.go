@@ -48,7 +48,7 @@ func TestStartProfilesNoOp(t *testing.T) {
 // profile it started is stopped, so a second one can start.
 func TestStartFailureReleases(t *testing.T) {
 	dir := t.TempDir()
-	c := New("test", io.Discard, Telemetry, Defaults{})
+	c := New("test", io.Discard, Telemetry, Defaults{Instr: 1000})
 	if code, ok := c.Parse([]string{"-cpuprofile", dir + "/cpu.pprof", "-manifest", dir + "/no-such-dir/m.jsonl"}); !ok {
 		t.Fatalf("Parse refused the command line (exit %d)", code)
 	}

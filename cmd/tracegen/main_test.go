@@ -75,7 +75,12 @@ func TestSingleWorkload(t *testing.T) {
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Errorf("single-trace run touched the checkpoint: %v", err)
 	}
-	if code, _, _ := runTool("-workload", "no-such-workload"); code != 2 {
-		t.Errorf("unknown workload: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-workload", "no-such-workload"},
+		{"-workload", "db-000", "-instr", "0", "-o", out},
+	} {
+		if code, stdout, _ := runTool(args...); code != 2 || stdout != "" {
+			t.Errorf("tracegen %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
+		}
 	}
 }

@@ -26,10 +26,6 @@
 //   - lock-balance: every sync.Mutex/RWMutex Lock reaches its Unlock
 //     on all paths (or via defer), and no lock is held across a
 //     channel operation, select, or sync.WaitGroup.Wait.
-//   - pair-lifetime: values acquired through a //chirp:acquires
-//     function (pooled TLB arrays) must reach a
-//     matching //chirp:releases call on every path, unless they
-//     escape the function.
 //   - atomic-mix: a struct field accessed through sync/atomic anywhere
 //     in the module must never be read or written plainly elsewhere.
 //   - goroutine-discipline: wg.Add precedes the go statement it
@@ -49,20 +45,6 @@
 //	    comment — in the whole function. The reason is mandatory;
 //	    directives without one are themselves reported.
 //
-//	//chirp:acquires <token>
-//	    in a function's doc comment declares that the function's
-//	    non-error results hold a resource named <token> that callers
-//	    must release. At most one per function.
-//
-//	//chirp:releases <token>
-//	    in a function's doc comment declares that calling the function
-//	    (on, or passing, an acquired value) releases <token>. May be
-//	    repeated for functions releasing several resource kinds.
-//
-// Tokens are lowercase identifiers ([a-z][a-z0-9_-]*). Malformed
-// directives — wrong placement, missing or malformed token, duplicate
-// acquires — are diagnosed by the same hygiene pass as //chirp:allow.
-//
 // Only non-test sources are analyzed: _test.go files may freely use
 // maps, wall clocks and deprecated compatibility wrappers.
 package analysis
@@ -71,7 +53,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -111,7 +92,6 @@ func Rules() []Rule {
 		&CtxFirstRule{},
 		&DeprecatedRule{},
 		&LockBalanceRule{},
-		&PairLifetimeRule{},
 		&AtomicMixRule{},
 		&GoroutineRule{},
 	}
@@ -190,10 +170,8 @@ func Run(m *Module, rules []Rule) []Diagnostic {
 
 // Directive names.
 const (
-	directiveHotpath  = "//chirp:hotpath"
-	directiveAllow    = "//chirp:allow"
-	directiveAcquires = "//chirp:acquires"
-	directiveReleases = "//chirp:releases"
+	directiveHotpath = "//chirp:hotpath"
+	directiveAllow   = "//chirp:allow"
 )
 
 // allowRange is one //chirp:allow grant: rule suppressed over the
@@ -203,9 +181,6 @@ type allowRange struct {
 	rule     string
 	from, to int
 }
-
-// pairTokenRe is the //chirp:acquires///chirp:releases token grammar.
-var pairTokenRe = regexp.MustCompile(`^[a-z][a-z0-9_-]*$`)
 
 // knownRuleNames builds the rule-name set exactly once per process;
 // the registered rule set is static, so collectDirectives (called once
@@ -220,10 +195,10 @@ var knownRuleNames = sync.OnceValue(func() map[string]bool {
 
 // collectDirectives scans every parsed file of the module for chirp
 // directives, recording hotpath annotations, allow ranges (indexed per
-// file), acquire/release pairings, and hygiene problems (missing rule
-// or reason, unknown rule name, malformed pairing token). It runs once
-// per module: the rule-name set and the comment→FuncDecl doc index are
-// built a single time up front instead of per file.
+// file), and hygiene problems (missing rule or reason, unknown rule
+// name). It runs once per module: the rule-name set and the
+// comment→FuncDecl doc index are built a single time up front instead
+// of per file.
 func (m *Module) collectDirectives() {
 	known := knownRuleNames()
 
@@ -306,48 +281,6 @@ func (m *Module) collectFileDirectives(p *Package, f *ast.File, known map[string
 					ar.to = m.Fset.Position(fd.End()).Line
 				}
 				m.allows[pos.Filename] = append(m.allows[pos.Filename], ar)
-			case strings.HasPrefix(text, directiveAcquires), strings.HasPrefix(text, directiveReleases):
-				name := directiveAcquires
-				if strings.HasPrefix(text, directiveReleases) {
-					name = directiveReleases
-				}
-				rest := strings.TrimPrefix(text, name)
-				if rest != "" && !strings.HasPrefix(rest, " ") {
-					continue // some other //chirp:acquiresXyz token; not ours
-				}
-				pos := m.Fset.Position(c.Pos())
-				fields := strings.Fields(rest)
-				if len(fields) != 1 || !pairTokenRe.MatchString(fields[0]) {
-					m.directiveProblems = append(m.directiveProblems, Diagnostic{
-						Pos: pos, Rule: "directive",
-						Message: fmt.Sprintf("%s takes exactly one token matching %s", name, pairTokenRe),
-					})
-					continue
-				}
-				fd := docOf[c]
-				if fd == nil {
-					m.directiveProblems = append(m.directiveProblems, Diagnostic{
-						Pos: pos, Rule: "directive",
-						Message: fmt.Sprintf("%s must appear in a function's doc comment", name),
-					})
-					continue
-				}
-				token := fields[0]
-				if name == directiveAcquires {
-					if prev, dup := m.acquires[fd]; dup {
-						// Report at the declaration: gofmt pins
-						// directives to the end of the doc comment, so
-						// the function line is the stable anchor.
-						m.directiveProblems = append(m.directiveProblems, Diagnostic{
-							Pos: m.Fset.Position(fd.Pos()), Rule: "directive",
-							Message: fmt.Sprintf("duplicate //chirp:acquires (function already acquires %q)", prev),
-						})
-						continue
-					}
-					m.acquires[fd] = token
-				} else {
-					m.releases[fd] = append(m.releases[fd], token)
-				}
 			}
 		}
 	}
@@ -368,9 +301,3 @@ func (m *Module) allowed(rule string, pos token.Position) bool {
 // HotpathFuncs returns the //chirp:hotpath-annotated declarations and
 // their packages.
 func (m *Module) HotpathFuncs() map[*ast.FuncDecl]*Package { return m.hotpath }
-
-// AcquireToken returns the //chirp:acquires token on fd, or "".
-func (m *Module) AcquireToken(fd *ast.FuncDecl) string { return m.acquires[fd] }
-
-// ReleaseTokens returns the //chirp:releases tokens on fd.
-func (m *Module) ReleaseTokens(fd *ast.FuncDecl) []string { return m.releases[fd] }

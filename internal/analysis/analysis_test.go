@@ -150,10 +150,6 @@ func TestDirectiveHygiene(t *testing.T) { testFixture(t, "hotpath-alloc", "direc
 
 func TestLockBalanceFixture(t *testing.T) { testFixture(t, "lock-balance", "lockbalance") }
 
-// TestPairLifetimeFixture also covers the //chirp:acquires and
-// //chirp:releases directive hygiene (pairlife/hygiene.go).
-func TestPairLifetimeFixture(t *testing.T) { testFixture(t, "pair-lifetime", "pairlife") }
-
 func TestAtomicMixFixture(t *testing.T) { testFixture(t, "atomic-mix", "atomicmix") }
 
 func TestGoroutineFixture(t *testing.T) { testFixture(t, "goroutine-discipline", "goroutine") }

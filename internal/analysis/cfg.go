@@ -11,10 +11,10 @@
 //
 // The graph is deliberately small: no φ-nodes, no expression
 // three-address lowering, no interprocedural edges. The dataflow
-// rules built on it (lock-balance, pair-lifetime,
-// goroutine-discipline) are intraprocedural must/may analyses over
-// statement granularity, which is exactly what the repo's invariants
-// need — "Unlock on every path", "release reaches every return".
+// rules built on it (lock-balance, goroutine-discipline) are
+// intraprocedural must/may analyses over statement granularity, which
+// is exactly what the repo's invariants need — "Unlock on every path",
+// "wg.Done reaches every return".
 package analysis
 
 import (
@@ -38,9 +38,6 @@ type blockKind uint8
 
 const (
 	kindPlain blockKind = iota
-	// kindCond ends in a boolean condition: Succs[0] is the true
-	// edge, Succs[1] the false edge, and Cond holds the expression.
-	kindCond
 	// kindRangeHead is a range loop's per-iteration dispatch:
 	// Succs[0] enters the body, Succs[1] leaves the loop. Stmt is the
 	// *ast.RangeStmt (its X was evaluated in a predecessor).
@@ -64,8 +61,6 @@ type cfgBlock struct {
 	// *ast.DeferStmt and *ast.ReturnStmt do (rules give them special
 	// treatment).
 	nodes []ast.Node
-	// cond is the branch condition for kindCond blocks.
-	cond ast.Expr
 	// stmt is the governing statement for kindRangeHead/kindSelect.
 	stmt  ast.Stmt
 	succs []*cfgBlock
@@ -197,8 +192,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.ensure().addNode(s.Init)
 		}
 		head := b.ensure()
-		head.kind = kindCond
-		head.cond = s.Cond
 		head.addNode(s.Cond)
 		then := b.newBlock(kindPlain)
 		after := b.newBlock(kindPlain)
@@ -232,8 +225,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.edge(post, head)
 		}
 		if s.Cond != nil {
-			head.kind = kindCond
-			head.cond = s.Cond
 			head.addNode(s.Cond)
 			b.edge(head, body)  // true
 			b.edge(head, after) // false

@@ -7,9 +7,9 @@
 package analysis
 
 // flowFact is an opaque lattice element. Facts must be treated as
-// immutable by Transfer/Refine: return a new value instead of
-// mutating, because a block's entry fact is joined from (and aliased
-// by) its predecessors' exit facts.
+// immutable by Transfer: return a new value instead of mutating,
+// because a block's entry fact is joined from (and aliased by) its
+// predecessors' exit facts.
 type flowFact interface{}
 
 // flowRule is one forward dataflow problem over a single function.
@@ -25,11 +25,6 @@ type flowRule interface {
 	// during the final reporting pass; during fixpoint iteration it
 	// is nil and implementations must not emit diagnostics.
 	Transfer(b *cfgBlock, in flowFact, report bool) flowFact
-	// Refine adjusts the fact flowing along one edge of a kindCond
-	// block. branch is true for the Succs[0] (condition-true) edge.
-	// Most rules return out unchanged; pair-lifetime uses it to drop
-	// acquisitions on the `err != nil` edge of their own error check.
-	Refine(b *cfgBlock, branch bool, out flowFact) flowFact
 }
 
 // solveFlow runs rule to fixpoint over g and then performs the
@@ -59,16 +54,12 @@ func solveFlow(g *cfg, rule flowRule) flowFact {
 			continue // no predecessor has produced a fact yet
 		}
 		out := rule.Transfer(b, in[b.index], false)
-		for i, s := range b.succs {
-			f := out
-			if b.kind == kindCond && i < 2 {
-				f = rule.Refine(b, i == 0, out)
-			}
+		for _, s := range b.succs {
 			if !have[s.index] {
-				in[s.index] = f
+				in[s.index] = out
 				have[s.index] = true
 			} else {
-				joined := rule.Join(in[s.index], f)
+				joined := rule.Join(in[s.index], out)
 				if rule.Equal(joined, in[s.index]) {
 					continue
 				}

@@ -133,8 +133,6 @@ func (wf *wgFlow) Equal(a, b flowFact) bool {
 	return true
 }
 
-func (wf *wgFlow) Refine(b *cfgBlock, branch bool, out flowFact) flowFact { return out }
-
 func (wf *wgFlow) report(pos token.Pos, format string, args ...interface{}) {
 	*wf.out = append(*wf.out, Diagnostic{
 		Pos:     wf.m.Fset.Position(pos),

@@ -43,8 +43,6 @@ type Module struct {
 
 	hotpath           map[*ast.FuncDecl]*Package
 	allows            map[string][]allowRange
-	acquires          map[*ast.FuncDecl]string
-	releases          map[*ast.FuncDecl][]string
 	directiveProblems []Diagnostic
 }
 
@@ -140,10 +138,8 @@ func (l *Loader) LoadModule() (*Module, error) {
 func (l *Loader) LoadDirs(dirs ...string) (*Module, error) {
 	m := &Module{
 		Path: l.ModulePath, Dir: l.Dir, Fset: l.fset,
-		hotpath:  map[*ast.FuncDecl]*Package{},
-		allows:   map[string][]allowRange{},
-		acquires: map[*ast.FuncDecl]string{},
-		releases: map[*ast.FuncDecl][]string{},
+		hotpath: map[*ast.FuncDecl]*Package{},
+		allows:  map[string][]allowRange{},
 	}
 	seen := map[string]bool{}
 	for _, dir := range dirs {

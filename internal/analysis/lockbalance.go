@@ -103,8 +103,6 @@ func (lf *lockFlow) Equal(a, b flowFact) bool {
 	return true
 }
 
-func (lf *lockFlow) Refine(b *cfgBlock, branch bool, out flowFact) flowFact { return out }
-
 func (lf *lockFlow) report(pos token.Pos, format string, args ...interface{}) {
 	*lf.out = append(*lf.out, Diagnostic{
 		Pos:     lf.m.Fset.Position(pos),

@@ -2,10 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/chirplab/chirp/internal/core"
+	"github.com/chirplab/chirp/internal/mixed"
 	"github.com/chirplab/chirp/internal/stats"
+	"github.com/chirplab/chirp/internal/workloads"
+	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
 func TestConsolidated(t *testing.T) {
@@ -84,6 +90,71 @@ func TestMixedExperiment(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "2M share") {
 		t.Error("report missing 2M share column")
+	}
+}
+
+// TestMixedHonoursSuite checks that Mixed draws its workloads from
+// Options.Suite: over a seed-4242 compile of the default spec its rows
+// differ from the built-in suite's and equal mixed.Run on that
+// population's first eligible workloads.
+func TestMixedHonoursSuite(t *testing.T) {
+	s, err := spec.Resolve("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Compile(s, spec.Options{Seed: 4242, SeedSet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := tiny()
+	o.Workloads = 2
+	builtin, err := Mixed(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Suite = c.Workloads()
+	got, err := Mixed(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(got.Rows, builtin.Rows) {
+		t.Fatal("a seed-4242 suite printed the built-in suite's rows")
+	}
+
+	eligible := func(w *workloads.Workload) bool {
+		if p := w.Program(); p != nil {
+			for _, r := range p.Regions {
+				if r.Pages >= mixed.HugeThresholdPages {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var want []MixedRow
+	for _, w := range o.Suite {
+		if len(want) == o.Workloads {
+			break
+		}
+		if !eligible(w) {
+			continue
+		}
+		lru, err := mixed.Run(w, mixed.NewLRU(), o.Instructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca, err := mixed.NewCostAware(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		chirp, err := mixed.Run(w, ca, o.Instructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, MixedRow{Workload: fmt.Sprintf("mixed-%02d", len(want)), LRU: lru, CHiRP: chirp})
+	}
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Errorf("rows over the spec suite\n%+v\nwant mixed.Run on its first eligible workloads\n%+v", got.Rows, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
 	"github.com/chirplab/chirp/internal/trace"
+	"github.com/chirplab/chirp/internal/workloads"
 )
 
 // Fig3Row is one benchmark's trained ADALINE weight vector.
@@ -245,14 +246,19 @@ type MixedResult struct {
 	ReachSavedPct float64
 }
 
-// Mixed runs the mixed-page-size study over workloads that have
-// 2 MB-backed regions.
+// Mixed runs the mixed-page-size study over the first n workloads of
+// o.Suite (of the built-in suite when nil) that have 2 MB-backed
+// regions, n being o.Workloads capped at 64.
 func Mixed(o Options) (*MixedResult, error) {
 	n := o.Workloads
 	if n <= 0 || n > 64 {
 		n = 64
 	}
-	rows, err := mixed.CompareOnSuite(n, o.Instructions, func() []mixed.Policy {
+	candidates := o.Suite
+	if candidates == nil {
+		candidates = workloads.SuiteN(4 * n)
+	}
+	rows, err := mixed.CompareOnSuite(candidates, n, o.Instructions, func() []mixed.Policy {
 		ca, err := mixed.NewCostAware(core.DefaultConfig())
 		if err != nil {
 			panic(err)

@@ -71,12 +71,10 @@ func Run(w *workloads.Workload, p Policy, instructions uint64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer l1i.Release()
 	l1d, err := tlb.New(tlb.Config{Name: "L1D", Entries: 64, Ways: 8, PageShift: 12}, policy.NewLRU())
 	if err != nil {
 		return Result{}, err
 	}
-	defer l1d.Release()
 	l2, err := New(1024, 8, p)
 	if err != nil {
 		return Result{}, err
@@ -144,11 +142,11 @@ func Run(w *workloads.Workload, p Policy, instructions uint64) (Result, error) {
 }
 
 // CompareOnSuite runs the mixed-size comparison (LRU vs cost-aware
-// CHiRP) over the first n workloads that actually have 2 MB-backed
+// CHiRP) over the first n workloads of ws that actually have 2 MB-backed
 // regions, and returns rows of results.
-func CompareOnSuite(n int, instructions uint64, mkPolicies func() []Policy) ([][]Result, error) {
+func CompareOnSuite(ws []*workloads.Workload, n int, instructions uint64, mkPolicies func() []Policy) ([][]Result, error) {
 	var rows [][]Result
-	for _, w := range workloads.SuiteN(4 * n) {
+	for _, w := range ws {
 		if len(rows) >= n {
 			break
 		}

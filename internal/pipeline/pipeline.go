@@ -155,23 +155,11 @@ func NewMulti(cfg Config, l2Policies []tlb.Policy, l1Factory func() tlb.Policy) 
 	if err != nil {
 		return nil, err
 	}
-	var built []*tlb.TLB
-	newTLB := func(c tlb.Config, p tlb.Policy) (*tlb.TLB, error) {
-		t, err := tlb.New(c, p)
-		if err != nil {
-			for _, b := range built {
-				b.Release()
-			}
-			return nil, err
-		}
-		built = append(built, t)
-		return t, nil
-	}
-	l1i, err := newTLB(cfg.L1ITLB, l1Factory())
+	l1i, err := tlb.New(cfg.L1ITLB, l1Factory())
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := newTLB(cfg.L1DTLB, l1Factory())
+	l1d, err := tlb.New(cfg.L1DTLB, l1Factory())
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +172,7 @@ func NewMulti(cfg Config, l2Policies []tlb.Policy, l1Factory func() tlb.Policy) 
 		ind:   branch.NewIndirect(4096),
 	}
 	for i, p := range l2Policies {
-		l2, err := newTLB(cfg.L2TLB, p)
+		l2, err := tlb.New(cfg.L2TLB, p)
 		if err != nil {
 			return nil, err
 		}

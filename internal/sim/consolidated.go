@@ -18,7 +18,8 @@ type ConsolidatedConfig struct {
 	Hierarchy Hierarchy
 	// Quantum is the timeslice in committed instructions.
 	Quantum uint64
-	// Instructions bounds the total run across all workloads.
+	// Instructions bounds the total run across all workloads; it must
+	// be positive, as suite generators never end.
 	Instructions uint64
 	// FlushOnSwitch models hardware without ASID tags: the whole TLB
 	// hierarchy is invalidated at every context switch.
@@ -58,21 +59,21 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 	if len(ws) > 1<<16 {
 		return ConsolidatedResult{}, fmt.Errorf("sim: too many workloads for 16-bit ASIDs")
 	}
+	if cfg.Instructions == 0 {
+		return ConsolidatedResult{}, fmt.Errorf("sim: consolidated run needs a positive instruction bound")
+	}
 	l1i, err := tlb.New(cfg.Hierarchy.L1I, policy.NewLRU())
 	if err != nil {
 		return ConsolidatedResult{}, err
 	}
-	defer l1i.Release()
 	l1d, err := tlb.New(cfg.Hierarchy.L1D, policy.NewLRU())
 	if err != nil {
 		return ConsolidatedResult{}, err
 	}
-	defer l1d.Release()
 	l2, err := tlb.New(cfg.Hierarchy.L2, l2p)
 	if err != nil {
 		return ConsolidatedResult{}, err
 	}
-	defer l2.Release()
 	bo, hasBO := l2p.(tlb.BranchObserver)
 
 	sources := make([]trace.Source, len(ws))
@@ -103,7 +104,7 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 		}
 		l1.Insert(&a, vpn)
 	}
-	for total < cfg.Instructions || cfg.Instructions == 0 {
+	for total < cfg.Instructions {
 		if !sources[cur].Next(&rec) {
 			break // suite generators are unbounded; defensive only
 		}
@@ -136,9 +137,6 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 				l1d.Flush()
 				l2.Flush()
 			}
-		}
-		if cfg.Instructions == 0 {
-			break
 		}
 	}
 	if !warmed {

@@ -45,6 +45,9 @@ func TestConsolidatedRejectsEmpty(t *testing.T) {
 	if _, err := RunConsolidated(nil, policy.NewLRU(), DefaultConsolidatedConfig(1000)); err == nil {
 		t.Fatal("empty workload set accepted")
 	}
+	if _, err := RunConsolidated(workloads.SuiteN(2), policy.NewLRU(), DefaultConsolidatedConfig(0)); err == nil {
+		t.Fatal("unbounded consolidated run accepted")
+	}
 }
 
 func TestConsolidatedASIDIsolation(t *testing.T) {

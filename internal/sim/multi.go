@@ -163,20 +163,7 @@ func replayOne(stream *l2stream.Stream, rv *replayView, sigs any, p tlb.Policy, 
 	default:
 		w.walkPlain(rv)
 	}
-	return finishReplay(stream, p, t, w.warm), nil
-}
-
-// finishReplay closes out one policy's replayed TLB: accounting flush,
-// metric publication, result assembly — the same epilogue as the
-// direct run, off the hot path.
-//
-//chirp:releases tlbarrays
-func finishReplay(stream *l2stream.Stream, p tlb.Policy, t *tlb.TLB, warm tlb.Stats) TLBOnlyResult {
-	t.FlushAccounting()
-	publishRun(p, t)
-	res := replayResult(stream, p, t, warm)
-	t.Release()
-	return res
+	return replayResult(stream, p, t, w.warm), nil
 }
 
 // denseWalker drives one policy's TLB over the dense replay view. The

@@ -47,10 +47,13 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 	})
 }
 
-// replayResult assembles a replayed policy's result from its finished
-// L2 TLB and the stats latched at the warmup marker, in the same field
-// order and arithmetic as RunTLBOnly.
+// replayResult closes out a replayed policy's L2 TLB — accounting
+// flush and metric publication, the same epilogue as the direct run —
+// and assembles its result from the TLB and the stats latched at the
+// warmup marker, in the same field order and arithmetic as RunTLBOnly.
 func replayResult(stream *l2stream.Stream, l2p tlb.Policy, l2 *tlb.TLB, warmStats tlb.Stats) TLBOnlyResult {
+	l2.FlushAccounting()
+	publishRun(l2p, l2)
 	st := l2.Stats()
 	res := TLBOnlyResult{
 		Policy:       l2p.Name(),

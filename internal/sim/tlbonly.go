@@ -86,17 +86,14 @@ func RunTLBOnly(src trace.Source, l2p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyRes
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
-	defer l1i.Release()
 	l1d, err := tlb.New(cfg.Hierarchy.L1D, policy.NewLRU())
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
-	defer l1d.Release()
 	l2, err := tlb.New(cfg.Hierarchy.L2, l2p)
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
-	defer l2.Release()
 	bo, observesBranches := l2p.(tlb.BranchObserver)
 
 	pageShift := cfg.Hierarchy.L2.PageShift
@@ -240,12 +237,10 @@ func CollectL2Stream(src trace.Source, cfg TLBOnlyConfig) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer l1i.Release()
 	l1d, err := tlb.New(cfg.Hierarchy.L1D, policy.NewLRU())
 	if err != nil {
 		return nil, err
 	}
-	defer l1d.Release()
 	pageShift := cfg.Hierarchy.L2.PageShift
 	var (
 		stream       []uint64

@@ -12,7 +12,6 @@ package tlb
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Access describes one lookup presented to a TLB and to its policy.
@@ -197,9 +196,9 @@ func (s Stats) Efficiency() float64 {
 
 // entry holds one translation. Validity is not stored here: the
 // per-set bitmask (TLB.valid) and the packed tag array are the only
-// authorities, which lets New reuse pooled entry arrays without
-// zeroing them — a stale entry is unreachable until Insert overwrites
-// it, because every read is gated on a tag match or a valid bit.
+// authorities, so the way scan reads an entry only after its tag
+// matches, and an invalidated entry keeps stale fields that no read
+// reaches until Insert overwrites them.
 type entry struct {
 	vpn     uint64
 	ppn     uint64
@@ -243,23 +242,8 @@ type TLB struct {
 	published Stats
 }
 
-// tlbArrays is the poolable backing store of one TLB. Replay sweeps
-// build and drop a TLB per (workload, policy) pair; recycling the
-// arrays avoids re-zeroing the entry table every time — safe because
-// stale pooled entries are unreachable (see the entry doc comment).
-type tlbArrays struct {
-	entries []entry
-	tags    []uint64
-	valid   []uint64
-	live    []uint16
-}
-
-var arrayPool sync.Pool
-
 // New builds a TLB with the given geometry and policy. The policy is
 // attached (metadata sized) before New returns.
-//
-//chirp:acquires tlbarrays
 func New(cfg Config, p Policy) (*TLB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -274,26 +258,10 @@ func New(cfg Config, p Policy) (*TLB, error) {
 		sets:    sets,
 		ways:    cfg.Ways,
 		setMask: uint64(sets - 1),
-	}
-	if ar, _ := arrayPool.Get().(*tlbArrays); ar != nil &&
-		cap(ar.entries) >= cfg.Entries && cap(ar.tags) >= cfg.Entries &&
-		cap(ar.valid) >= sets && cap(ar.live) >= sets {
-		t.entries = ar.entries[:cfg.Entries]
-		t.tags = ar.tags[:cfg.Entries]
-		t.valid = ar.valid[:sets]
-		t.live = ar.live[:sets]
-		for i := range t.valid {
-			t.valid[i] = 0
-		}
-		for i := range t.live {
-			t.live[i] = 0
-		}
-	} else {
-		// Too small (or empty pool): allocate fresh, drop the arena.
-		t.entries = make([]entry, cfg.Entries)
-		t.tags = make([]uint64, cfg.Entries)
-		t.valid = make([]uint64, sets)
-		t.live = make([]uint16, sets)
+		entries: make([]entry, cfg.Entries),
+		tags:    make([]uint64, cfg.Entries),
+		valid:   make([]uint64, sets),
+		live:    make([]uint16, sets),
 	}
 	for i := range t.tags {
 		t.tags[i] = tagFree
@@ -303,20 +271,6 @@ func New(cfg Config, p Policy) (*TLB, error) {
 	}
 	p.Attach(sets, cfg.Ways)
 	return t, nil
-}
-
-// Release returns the TLB's backing arrays to the internal pool for a
-// future New to reuse. The TLB must not be touched afterwards. Calling
-// it is optional — a TLB that simply goes out of scope just forgoes
-// the reuse — and replay drivers call it once results are extracted.
-//
-//chirp:releases tlbarrays
-func (t *TLB) Release() {
-	if t.entries == nil {
-		return
-	}
-	arrayPool.Put(&tlbArrays{entries: t.entries, tags: t.tags, valid: t.valid, live: t.live})
-	t.entries, t.tags, t.valid, t.live = nil, nil, nil, nil
 }
 
 // Config returns the TLB's geometry.

@@ -334,3 +334,61 @@ func TestCheckedInSpecs(t *testing.T) {
 		})
 	}
 }
+
+// FuzzSpecRoundTrip checks the canonical form on arbitrary documents:
+// for any input Parse accepts, re-parsing its encoding succeeds and
+// encodes to the same bytes, Normalize on the re-parsed spec succeeds
+// and changes nothing, and the content hash survives the round trip.
+// The checked-in specs seed the corpus.
+func FuzzSpecRoundTrip(f *testing.F) {
+	for _, path := range []string{"default.json", filepath.Join("..", "..", "..", "examples", "specs", "multitenant.json")} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(minimalClients))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		enc, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-parsing the canonical encoding: %v\n%s", err, enc)
+		}
+		enc2, err := s2.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("Encode∘Parse is not a fixed point:\n--- first\n%s--- second\n%s", enc, enc2)
+		}
+		if err := s2.Normalize(); err != nil {
+			t.Fatalf("Normalize on a re-parsed spec: %v", err)
+		}
+		enc3, err := s2.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc2, enc3) {
+			t.Fatalf("Normalize is not idempotent:\n--- before\n%s--- after\n%s", enc2, enc3)
+		}
+		h, err := s.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := s2.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != h2 {
+			t.Fatalf("Hash changed across the round trip: %s -> %s", h, h2)
+		}
+	})
+}
